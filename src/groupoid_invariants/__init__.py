@@ -2,8 +2,10 @@
 
 The package computes, with exact integer arithmetic throughout:
 
-  * Smith normal forms, cokernels, kernels and the tensor/Tor/Ext calculus
-    of finitely generated abelian groups (``intmatrix``, ``fggroup``);
+  * Smith normal forms, cokernels and kernels (``intmatrix``, ``fggroup``);
+  * canonical forms and the tensor/Tor/Ext calculus of finitely generated
+    abelian groups over a coprime base, without Smith normal forms
+    (``fggroup``);
   * automorphism enumeration and orbit decisions on group elements
     (``automorphisms``);
   * Bowen-Franks data, homology, K-groups and full-group abelianizations of
@@ -22,9 +24,9 @@ from .automorphisms import (aut_orbit_equivalent, aut_orbit_witness,
                             enumerate_automorphisms, torsion_orbit)
 from .classify import (ClassificationVerdict, ProductWitness,
                        product_isomorphic, sft_isomorphic, sft_morita)
-from .errors import (BoundExceeded, IncompatibleParameters, NegativeEntry,
-                     NotSquare, ParseError, PermutationMatrix, Reducible,
-                     SftValidationError)
+from .errors import (BoundExceeded, IncompatibleParameters, InternalError,
+                     NegativeEntry, NotSquare, ParseError, PermutationMatrix,
+                     Reducible, SftValidationError)
 from .fggroup import (FgElement, FgGroup, GroupHom, QuotientMap, TensorMap,
                       cokernel, direct_sum, ext_group, is_quotient,
                       kernel_group, tensor, tor)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
 
+from .errors import InternalError
 from .fggroup import FgGroup, direct_sum, tensor
 from .sft import SftMatrix, invariants
 
@@ -62,7 +63,8 @@ def decompose_h0(a: SftMatrix, primary: bool = False) -> tuple[int, ...]:
 def decompose_all(factors: list[SftMatrix], primary: bool = False) -> H0Decomposition:
     dec = H0Decomposition(tuple(decompose_h0(f, primary) for f in factors))
     for orders, f in zip(dec.factor_orders, factors):
-        assert FgGroup.from_orders(orders) == invariants(f).bf
+        if FgGroup.from_orders(orders) != invariants(f).bf:
+            raise InternalError("cyclic decomposition does not rebuild the Bowen-Franks group")
     return dec
 
 
@@ -156,8 +158,8 @@ def tfg_abelianization(factors: list[SftMatrix],
     kernel = set(data.kernel_index)
     star: dict[tuple[int, ...], int] = {}
     for p, idx, idx2 in data.class_components:
-        assert idx == idx2
-        assert idx not in star, "extension class must be block diagonal"
+        if idx != idx2 or idx in star:
+            raise InternalError("extension class must be block diagonal")
         star[idx] = p
     for idx in data.j_index:
         tps = by_tuple.get(idx, [])

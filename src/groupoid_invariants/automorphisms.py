@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InternalError
 from .fggroup import FgElement, FgGroup, GroupHom, _factorint, cokernel
 from .intmatrix import IntMatrix, smith_normal_form
 
@@ -48,7 +48,7 @@ def _modinv(a: int, n: int) -> int:
         t, new_t = new_t, t - q * new_t
         r, new_r = new_r, r - q * new_r
     if r != 1:
-        raise ValueError("not invertible")
+        raise InternalError(f"{a} is not invertible modulo {n}")
     return t % n
 
 
@@ -202,8 +202,8 @@ def aut_orbit_witness(g: FgGroup, a: FgElement, b: FgElement,
                       order_bound: int = DEFAULT_ORDER_BOUND) -> GroupHom | None:
     """An explicit automorphism of g mapping a to b, or None."""
     hom = _orbit_decision(g, a, b, want_witness=True, order_bound=order_bound)
-    if hom is not None:
-        assert hom(a) == b and hom.is_isomorphism()
+    if hom is not None and not (hom(a) == b and hom.is_isomorphism()):
+        raise InternalError("orbit witness is not an automorphism carrying a to b")
     return hom
 
 
@@ -303,7 +303,7 @@ def _assemble_witness(g, a, b, d, view, psi_mats, psi_target):
         for c, dj in zip(diff, t_group.torsion):
             gg = gcd(d, dj)
             if c % gg:
-                raise AssertionError("orbit decision and witness solve disagree")
+                raise InternalError("orbit decision and witness solve disagree")
             nj = dj // gg
             if nj == 1:
                 w_coords.append(0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .automorphisms import (DEFAULT_CANDIDATE_BOUND, DEFAULT_ORDER_BOUND,
                             aut_orbit_witness, enumerate_automorphisms)
-from .errors import BoundExceeded
+from .errors import BoundExceeded, InternalError
 from .fggroup import FgElement, FgGroup, GroupHom, tensor
 from .sft import SftMatrix, det_id_minus, invariants
 
@@ -50,7 +50,8 @@ class ClassificationVerdict:
     reason: str | None
 
     def __post_init__(self):
-        assert self.isomorphic == (self.witness is not None)
+        if self.isomorphic != (self.witness is not None):
+            raise InternalError("a verdict has a witness exactly when it is positive")
 
 
 def sft_isomorphic(a: SftMatrix, b: SftMatrix,
@@ -70,7 +71,8 @@ def sft_isomorphic(a: SftMatrix, b: SftMatrix,
             False, None,
             "no isomorphism of the Bowen-Franks groups carries the unit class "
             f"({ia.unit.coords()} vs {ib.unit.coords()} in {ia.bf})")
-    assert hom.is_isomorphism() and hom(ia.unit) == ib.unit
+    if not (hom.is_isomorphism() and hom(ia.unit) == ib.unit):
+        raise InternalError("witness is not an isomorphism carrying unit to unit")
     return ClassificationVerdict(True, ProductWitness((0,), (hom,)), None)
 
 
@@ -186,15 +188,18 @@ def _search_tuple(groups, units_a, target, auts, tensor_elem, search_order):
 def _verify_product_witness(witness, data_a, data_b, tensor_elem):
     """Re-check every clause of the product criterion on the found witness."""
     n = len(witness.sigma)
-    assert sorted(witness.sigma) == list(range(n))
+    if sorted(witness.sigma) != list(range(n)):
+        raise InternalError("witness sigma is not a permutation")
     imgs = []
     for i in range(n):
         inv_a, det_a = data_a[i]
         inv_b, det_b = data_b[witness.sigma[i]]
         hom = witness.homs[i]
-        assert det_a == det_b
-        assert hom.domain == inv_a.bf and hom.codomain == inv_b.bf
-        assert hom.is_isomorphism()
+        if det_a != det_b:
+            raise InternalError(f"witness matches factor {i} across different determinants")
+        if not (hom.domain == inv_a.bf and hom.codomain == inv_b.bf and hom.is_isomorphism()):
+            raise InternalError(f"witness hom {i} is not an isomorphism of the Bowen-Franks groups")
         imgs.append(hom(inv_a.unit))
     units_b = [data_b[witness.sigma[i]][0].unit for i in range(n)]
-    assert tensor_elem(imgs) == tensor_elem(units_b)
+    if tensor_elem(imgs) != tensor_elem(units_b):
+        raise InternalError("witness does not carry the unit tensor to the unit tensor")

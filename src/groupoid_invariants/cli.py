@@ -5,9 +5,11 @@ Factor-list inputs are JSON documents, inline or by path:
     {"factors": [[[2]], [[0, 2], [1, 0]]]}
 
 i.e. a top-level object whose "factors" entry is a list of square integer
-matrices in row-major nested-list form.  Exit codes: 0 success, 1 negative
-verdict (not isomorphic, check failed, no character), 2 input error,
-3 search bound exceeded.
+matrices in row-major nested-list form; entries are JSON integers, not
+booleans.  Exit codes: 0 success, 1 negative verdict (not isomorphic, check
+failed, no character), 2 input error, 3 search bound exceeded, 4 internal
+error (a failed consistency check or any other uncaught exception; the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import errors
 from .abelianize import strong_ah, tfg_abelianization
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 
 def parse_input(source: str) -> list[SftMatrix]:
@@ -55,7 +59,8 @@ def parse_input(source: str) -> list[SftMatrix]:
     for i, mat in enumerate(raw):
         if (not isinstance(mat, list) or not mat
                 or any(not isinstance(row, list) for row in mat)
-                or any(not all(isinstance(x, int) for x in row) for row in mat)):
+                # type(), not isinstance(): JSON true/false load as bool, an int subclass
+                or any(not all(type(x) is int for x in row) for row in mat)):
             raise errors.ParseError(f"factor {i} is not a nested integer array")
         out.append(validate(mat, factor_index=i))
     return out
@@ -291,6 +296,9 @@ def main(argv=None) -> int:
     except errors.BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
+    except Exception:  # a crash must not read as a verdict
+        print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")
+        return EXIT_INTERNAL
 
 
 def entrypoint():  # console script

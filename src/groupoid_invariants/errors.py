@@ -8,6 +8,13 @@ class BoundExceeded(RuntimeError):
     """
 
 
+class InternalError(RuntimeError):
+    """A consistency or witness check inside the library failed.
+
+    Signals a defect in the program, never a bad input or an exceeded bound.
+    """
+
+
 class IncompatibleParameters(ValueError):
     """Two table elements with different (n, k) data were combined."""
 

@@ -8,11 +8,32 @@ generator per invariant factor).
 
 Throughout, a cyclic order of 0 encodes Z (the "Z_0 = Z" convention) and
 orders of 1 are trivial summands that get dropped.
+
+Canonical form over a coprime base.  The nonzero orders are refined by gcd
+splitting into a pairwise coprime base (Bernstein, "Factoring into coprimes
+in essentially linear time", J. Algorithms 2005, gives the fast version;
+this is the plain splitting loop).  Nothing is factored, so orders with
+large prime factors cost no more than small ones.  Each order n is a product
+of base powers b^e(n), and Z/n splits by CRT into the Z/b^e(n).  Sorting each
+base element's exponents in descending order, the r-th largest entries of
+all columns multiply to the r-th largest invariant factor.
+``canonical_orders``, and through it ``from_orders``, ``direct_sum``,
+``tor`` and ``ext_group``, is that merge.
+
+Tensor products need no Smith normal form: g (x) h is the direct sum of the
+pieces Z_gcd(d_i, e_j), whose canonical form is the merge above.  The
+element map sends each piece's base-b part x mod b^e to the invariant factor
+it was merged into, through the CRT idempotent of b^e there; it is built
+on first use.  The isomorphism onto the canonical form is not canonical, so
+element coordinates are meaningful only up to an automorphism.  Cokernels
+of general matrices (``cokernel``) use the Smith normal form; both kinds of
+projection are a ``QuotientMap``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -33,30 +54,70 @@ def _factorint(n: int) -> dict[int, int]:
     return out
 
 
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """A pairwise coprime base of integers > 1: every value is a product of
+    powers of base elements.
+
+    Gcd splitting only, no factoring: a value x meeting a base element b with
+    g = gcd(x, b) > 1 is replaced by g, x/g and b/g, which shrinks the product
+    of all pending and base elements by g, so the loop ends.
+    """
+    base: list[int] = []
+    todo = [v for v in values if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                base[i] = base[-1]
+                base.pop()
+                todo.extend(v for v in (g, x // g, b // g) if v > 1)
+                break
+        else:
+            base.append(x)
+    return sorted(base)
+
+
+def _coprime_columns(vals: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
+    """Per base element b of the orders > 1, the (exponent, slot) pairs with
+    b^exponent exactly dividing vals[slot], in descending order."""
+    distinct = {v for v in vals if v > 1}
+    base = _coprime_base(distinct)
+    split: dict[int, list[tuple[int, int]]] = {}
+    for v in distinct:
+        parts, rest = [], v
+        for b in base:
+            e = 0
+            while rest % b == 0:
+                rest //= b
+                e += 1
+            if e:
+                parts.append((b, e))
+        split[v] = parts
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for slot, v in enumerate(vals):
+        for b, e in split.get(v, ()):
+            columns.setdefault(b, []).append((e, slot))
+    for col in columns.values():
+        col.sort(reverse=True)
+    return columns
+
+
 def canonical_orders(orders: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Turn a list of cyclic orders (0 = Z) into (free_rank, invariant factors).
 
-    Uses the (a, b) -> (gcd, lcm) exchange, which preserves the isomorphism
-    class of Z_a (+) Z_b, until the divisibility chain holds.
+    Refines the nonzero orders into a coprime base and merges the sorted
+    exponent columns (see the module docstring).
     """
     vals = [abs(int(o)) for o in orders]
-    vals = [v for v in vals if v != 1]
-    n = len(vals)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = vals[i], vals[j]
-                g = gcd(a, b)
-                l = 0 if (a == 0 or b == 0) else (a // g) * b
-                if (a, b) != (g, l):
-                    vals[i], vals[j] = g, l
-                    changed = True
-    vals = [v for v in vals if v != 1]
-    free_rank = sum(1 for v in vals if v == 0)
-    torsion = tuple(v for v in vals if v != 0)
-    return free_rank, torsion
+    columns = _coprime_columns(vals)
+    # the r-th largest exponents of all base elements multiply to the r-th
+    # largest invariant factor
+    factors = [1] * max((len(col) for col in columns.values()), default=0)
+    for b, col in columns.items():
+        for r, (e, _) in enumerate(col):
+            factors[r] *= b ** e
+    return vals.count(0), tuple(reversed(factors))
 
 
 @dataclass(frozen=True)
@@ -277,8 +338,8 @@ class GroupHom:
                 col[i] = d
                 cols.append(col)
         m = IntMatrix.from_rows([[col[i] for col in cols] for i in range(cod.num_generators)])
-        grp, _ = cokernel(m)
-        return grp.is_trivial
+        diag = smith_normal_form(m).diagonal()
+        return len(diag) == m.rows and all(d == 1 for d in diag)
 
     @classmethod
     def identity(cls, g: FgGroup) -> "GroupHom":
@@ -295,30 +356,50 @@ class GroupHom:
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Projection Z^N -> Z^N/(M Z^k) in the canonical coordinates of the quotient.
+    """Linear map Z^N -> group in the group's canonical coordinates.
 
-    Built from the Smith normal form u*M*v = s: the class of x corresponds to
-    u*x read against the diagonal of s.
+    ``columns[k]`` is the image of the k-th unit vector, as sparse
+    (coordinate, coefficient) pairs; coordinates count free generators first.
     """
 
     group: FgGroup
-    u: IntMatrix
-    diag: tuple[int, ...]  # length = N, including 1s and trailing 0s
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def __call__(self, vec: Sequence[int]) -> FgElement:
-        y = self.u.apply(vec)
-        free = tuple(y[i] for i, d in enumerate(self.diag) if d == 0)
-        torsion = tuple(y[i] % d for i, d in enumerate(self.diag) if d >= 2)
-        return self.group.element(free, torsion)
+        if len(vec) != len(self.columns):
+            raise ValueError("vector length mismatch")
+        acc = [0] * self.group.num_generators
+        for x, col in zip(vec, self.columns):
+            if x:
+                for i, c in col:
+                    acc[i] += x * c
+        r = self.group.free_rank
+        return self.group.element(acc[:r], acc[r:])
 
 
 def cokernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap]:
-    """Z^rows / (m Z^cols) in canonical form, with the projection map."""
+    """Z^rows / (m Z^cols) in canonical form, with the projection map.
+
+    With the Smith normal form u*m*v = s, the class of x is u*x read against
+    the diagonal of s: rows with diagonal 0 are free coordinates, rows with
+    diagonal d >= 2 are coordinates mod d, rows with diagonal 1 vanish.
+    """
     snf = smith_normal_form(m)
     diag = list(snf.diagonal()) + [0] * (m.rows - min(m.rows, m.cols))
-    grp = FgGroup(free_rank=sum(1 for d in diag if d == 0),
-                  torsion=tuple(d for d in diag if d >= 2))
-    return grp, QuotientMap(grp, snf.u, tuple(diag))
+    grp = FgGroup(free_rank=diag.count(0), torsion=tuple(d for d in diag if d >= 2))
+    # canonical coordinates: free rows first, then torsion rows
+    targets = list(enumerate([i for i, d in enumerate(diag) if d == 0]
+                             + [i for i, d in enumerate(diag) if d >= 2]))
+    columns = []
+    for k in range(m.rows):
+        col = []
+        for coord, i in targets:
+            d = diag[i]
+            c = snf.u[i, k] % d if d else snf.u[i, k]
+            if c:
+                col.append((coord, c))
+        columns.append(tuple(col))
+    return grp, QuotientMap(grp, tuple(columns))
 
 
 def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
@@ -341,14 +422,40 @@ def _piece_order(a: int, b: int) -> int:
     return gcd(a, b)
 
 
+def _piece_orders(g: FgGroup, h: FgGroup) -> list[int]:
+    return [_piece_order(a, b) for a in g.orders() for b in h.orders()]
+
+
 @dataclass(frozen=True)
 class TensorMap:
-    """Bilinear map (a, b) -> a (x) b into the canonical tensor product."""
+    """Bilinear map (a, b) -> a (x) b into the canonical tensor product.
+
+    Generator pair (i, j) spans the piece Z_gcd(d_i, e_j); ``qmap`` sends
+    each piece into the canonical coordinates and is built on first use.
+    """
 
     left: FgGroup
     right: FgGroup
     group: FgGroup
-    qmap: QuotientMap
+
+    @cached_property
+    def qmap(self) -> QuotientMap:
+        vals = _piece_orders(self.left, self.right)
+        free_slots = [k for k, v in enumerate(vals) if v == 0]
+        columns: list[list[tuple[int, int]]] = [[] for _ in vals]
+        for coord, k in enumerate(free_slots):
+            columns[k].append((coord, 1))
+        # the base-b part of a piece goes to the invariant factor d at its
+        # rank, through the CRT idempotent that is 1 mod b^e and 0 mod d/b^e
+        torsion = self.group.torsion
+        for b, col in _coprime_columns(vals).items():
+            for r, (e, k) in enumerate(col):
+                t = len(torsion) - 1 - r
+                d = torsion[t]
+                q = b ** e
+                rest = d // q
+                columns[k].append((len(free_slots) + t, rest * pow(rest, -1, q) % d))
+        return QuotientMap(self.group, tuple(tuple(c) for c in columns))
 
     def __call__(self, a: FgElement, b: FgElement) -> FgElement:
         if a.group != self.left or b.group != self.right:
@@ -360,9 +467,8 @@ class TensorMap:
 
 def tensor(g: FgGroup, h: FgGroup) -> tuple[FgGroup, TensorMap]:
     """g (x) h, computed summand-wise, with the bilinear element map."""
-    orders = [_piece_order(a, b) for a in g.orders() for b in h.orders()]
-    grp, qmap = cokernel(IntMatrix.diagonal(orders))
-    return grp, TensorMap(g, h, grp, qmap)
+    grp = FgGroup.from_orders(_piece_orders(g, h))
+    return grp, TensorMap(g, h, grp)
 
 
 def tor(g: FgGroup, h: FgGroup) -> FgGroup:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .errors import InternalError
 from .fggroup import FgElement, FgGroup, direct_sum, tensor, tor
 from .graded import GradedGroups
 from .sft import SftMatrix, invariants
@@ -46,7 +47,8 @@ def kunneth_pair(g: GradedGroups, h: GradedGroups) -> GradedGroups:
         out[n] = direct_sum(*parts)
     # degree 0 is exactly the tensor of the degree-0 groups, so the unit
     # coordinates computed there remain valid after assembly
-    assert out.get(0, FgGroup.trivial()) == deg0 or deg0.is_trivial
+    if out.get(0, FgGroup.trivial()) != deg0 and not deg0.is_trivial:
+        raise InternalError("degree 0 of the Kunneth fold is not the degree-0 tensor")
     return GradedGroups(out, unit)
 
 

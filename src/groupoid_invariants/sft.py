@@ -13,6 +13,7 @@ invariants are exact integer-linear-algebra data:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import errors
 from .fggroup import FgElement, FgGroup, direct_sum, cokernel, kernel_group, tensor
@@ -30,6 +31,11 @@ class SftMatrix:
     @property
     def size(self) -> int:
         return self.a.rows
+
+    @cached_property
+    def _invariants(self) -> "SftInvariants":
+        # computed once per object; read through the module-level invariants()
+        return _compute_invariants(self.a)
 
 
 def _as_matrix(a) -> IntMatrix:
@@ -86,7 +92,11 @@ class SftInvariants:
 
 
 def invariants(a: SftMatrix) -> SftInvariants:
-    m = a.a
+    """Bowen-Franks, homology and K data of one SFT, computed once per SftMatrix."""
+    return a._invariants
+
+
+def _compute_invariants(m: IntMatrix) -> SftInvariants:
     n = m.rows
     pres = IntMatrix.identity(n) - m.transpose()
     bf, qmap = cokernel(pres)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .errors import BoundExceeded, IncompatibleParameters
+from .errors import BoundExceeded, IncompatibleParameters, InternalError
 
 MAX_WORD_DEPTH = 64
 
@@ -291,8 +291,8 @@ def alpha_word(i: int, d: int, d_prime: int, arities):
                 changed = True
     word.reverse()
     # sanity: the recorded word really induces the permutation
-    assert _word_permutation(word, block) == perm, \
-        "transposition word does not realize the permutation"
+    if _word_permutation(word, block) != perm:
+        raise InternalError("transposition word does not realize the permutation")
     return tuple(word), len(word) % 2
 
 

@@ -4,12 +4,15 @@ from math import gcd
 import pytest
 
 from conftest import random_sft
-from groupoid_invariants.errors import BoundExceeded
-from groupoid_invariants.classify import (product_isomorphic, sft_isomorphic,
+from groupoid_invariants.errors import BoundExceeded, InternalError
+from groupoid_invariants.classify import (ProductWitness,
+                                          _verify_product_witness,
+                                          product_isomorphic, sft_isomorphic,
                                           sft_morita)
-from groupoid_invariants.fggroup import tensor
-from groupoid_invariants.sft import (companion_matrix, invariants,
-                                     thompson_factor_list, validate)
+from groupoid_invariants.fggroup import GroupHom, tensor
+from groupoid_invariants.sft import (companion_matrix, det_id_minus,
+                                     invariants, thompson_factor_list,
+                                     validate)
 
 
 def test_sft_isomorphic_examples():
@@ -136,3 +139,29 @@ def test_product_infinite_bf_raises():
         product_isomorphic([free, free], [free, free])
     # but single-factor lists with free parts are decided
     assert product_isomorphic([free], [free]).isomorphic
+
+
+def test_corrupted_product_witness_is_rejected():
+    fa = [companion_matrix(5, 1), companion_matrix(5, 1)]  # BF Z/4, unit 3 each
+    fb = [companion_matrix(5, 1), companion_matrix(5, 1)]
+    witness = product_isomorphic(fa, fb).witness
+    data_a = [(invariants(f), det_id_minus(f)) for f in fa]
+    data_b = [(invariants(f), det_id_minus(f)) for f in fb]
+    groups = [inv.bf for inv, _ in data_a]
+    _, tmap = tensor(groups[0], groups[1])
+
+    def fold(elems):
+        return tmap(elems[0], elems[1])
+
+    _verify_product_witness(witness, data_a, data_b, fold)
+    g = witness.homs[0].domain
+    zero = GroupHom(g, g, tuple(g.zero() for _ in range(g.num_generators)))
+    doubled = GroupHom(g, g, tuple(img.scale(2) for img in witness.homs[0].images))
+    # an automorphism of Z/4 that moves the unit tensor 3 (x) 3 = 1 to 3
+    tripled = GroupHom(g, g, tuple(img.scale(3) for img in witness.homs[0].images))
+    for bad in (ProductWitness((0, 0), witness.homs),
+                ProductWitness(witness.sigma, (zero,) + witness.homs[1:]),
+                ProductWitness(witness.sigma, (doubled,) + witness.homs[1:]),
+                ProductWitness(witness.sigma, (tripled,) + witness.homs[1:])):
+        with pytest.raises(InternalError):
+            _verify_product_witness(bad, data_a, data_b, fold)

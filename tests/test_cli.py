@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from groupoid_invariants import cli, errors
+from groupoid_invariants.automorphisms import _modinv
 from groupoid_invariants.cli import main
 
 
@@ -127,3 +129,33 @@ def test_env_fallback_for_index_bound(capsys, monkeypatch):
     monkeypatch.setenv("GI_INDEX_BOUND", "3")
     code, out, _ = run(capsys, "relations-check", "--arities", "2,2")
     assert out != doc_small  # more instances checked
+
+
+def test_json_booleans_are_not_matrix_entries(capsys):
+    code, _, err = run(capsys, "validate", '{"factors": [[[true,true],[true,false]]]}')
+    assert code == 2 and "integer" in err
+    code, _, _ = run(capsys, "homology", '{"factors": [[[1,1],[1,false]]]}')
+    assert code == 2
+
+
+def test_exit_codes_tell_verdict_input_bound_and_crash_apart(capsys, monkeypatch):
+    assert run(capsys, "morita", '{"factors": [[[2]]]}', '{"factors": [[[2]]]}')[0] == 0
+    assert run(capsys, "morita", '{"factors": [[[2]]]}', '{"factors": [[[3]]]}')[0] == 1
+    assert run(capsys, "validate", '{"factors": [[[-1]]]}')[0] == 2
+    free = '{"factors": [[[2,1],[1,2]], [[2,1],[1,2]]]}'  # BF = Z on each factor
+    assert run(capsys, "classify", free, free)[0] == 3
+
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_cmd_validate", crash)
+    code, out, err = run(capsys, "validate", '{"factors": [[[2]]]}')
+    assert code == cli.EXIT_INTERNAL == 4 and out == ""
+    assert "internal error" in err and "RuntimeError: boom" in err
+
+
+def test_internal_errors_are_not_input_errors(capsys, monkeypatch):
+    with pytest.raises(errors.InternalError):
+        _modinv(2, 4)
+    monkeypatch.setattr(cli, "_cmd_validate", lambda args: _modinv(2, 4))
+    code, _, err = run(capsys, "validate", '{"factors": [[[2]]]}')
+    assert code == 4 and "InternalError" in err

@@ -1,14 +1,19 @@
 import random
+import time
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupoid_invariants.fggroup import (FgGroup, GroupHom, cokernel,
+from conftest import random_factor_list
+from groupoid_invariants.automorphisms import aut_orbit_equivalent
+from groupoid_invariants.fggroup import (FgGroup, GroupHom, _piece_order,
+                                         canonical_orders, cokernel,
                                          direct_sum, ext_group, is_quotient,
                                          kernel_group, tensor, tor)
 from groupoid_invariants.intmatrix import IntMatrix
+from groupoid_invariants.sft import invariants
 
 small_orders = st.lists(st.sampled_from([0, 0, 2, 2, 3, 4, 4, 5, 6, 8, 9, 12]),
                         min_size=0, max_size=4)
@@ -169,3 +174,111 @@ def test_element_order():
     assert g.element((0,), (1, 2)).order() == 6
     assert g.element((1,), (0, 0)).order() == 0
     assert g.zero().order() == 1
+
+
+# --- differential oracles: the gcd/lcm fixpoint and the SNF-based tensor ---
+
+def oracle_canonical_orders(orders):
+    """The (a, b) -> (gcd, lcm) exchange, run until the divisibility chain holds."""
+    vals = [abs(int(o)) for o in orders]
+    vals = [v for v in vals if v != 1]
+    n = len(vals)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = vals[i], vals[j]
+                g = gcd(a, b)
+                l = 0 if (a == 0 or b == 0) else (a // g) * b
+                if (a, b) != (g, l):
+                    vals[i], vals[j] = g, l
+                    changed = True
+    vals = [v for v in vals if v != 1]
+    return sum(1 for v in vals if v == 0), tuple(v for v in vals if v != 0)
+
+
+def oracle_tensor(g, h):
+    """g (x) h as the cokernel of the diagonal matrix of piece orders."""
+    orders = [_piece_order(a, b) for a in g.orders() for b in h.orders()]
+    grp, qmap = cokernel(IntMatrix.diagonal(orders))
+
+    def tmap(a, b):
+        return qmap([x * y for x in a.coords() for y in b.coords()])
+    return grp, tmap
+
+
+LARGE = [2 ** 20 * 3, 3 ** 9 * 5 ** 4, 7 ** 3 * 11 ** 2 * 13, 2 ** 61 - 1,
+         (2 ** 61 - 1) * 6, 10 ** 12, 999_983 * 1_000_003]
+order_lists = st.lists(
+    st.one_of(st.sampled_from([0, 1, 2, 3, 4, 6, 8, 9, 12, 36, 60]),
+              st.sampled_from(LARGE), st.integers(-50, 50)),
+    max_size=9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_lists)
+def test_canonical_orders_matches_fixpoint_oracle(orders):
+    assert canonical_orders(orders) == oracle_canonical_orders(orders)
+    assert canonical_orders(orders + orders) == oracle_canonical_orders(orders + orders)
+
+
+def _random_element(rng, g):
+    return g.element(tuple(rng.randint(-9, 9) for _ in range(g.free_rank)),
+                     tuple(rng.randrange(d) for d in g.torsion))
+
+
+tensor_orders = st.lists(st.sampled_from([0, 0, 1, 2, 3, 4, 6, 8, 12, 18, 30, 72, 3 ** 5 * 10]),
+                         max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tensor_orders, tensor_orders, st.integers(0, 10 ** 6))
+def test_tensor_matches_snf_oracle(go, ho, seed):
+    g, h = FgGroup.from_orders(go), FgGroup.from_orders(ho)
+    grp, tmap = tensor(g, h)
+    ogrp, omap = oracle_tensor(g, h)
+    assert grp == ogrp
+    rng = random.Random(seed)
+    for _ in range(6):
+        a1, a2 = _random_element(rng, g), _random_element(rng, g)
+        b1, b2 = _random_element(rng, h), _random_element(rng, h)
+        assert tmap(a1 + a2, b1) == tmap(a1, b1) + tmap(a2, b1)
+        assert tmap(a1, b1 + b2) == tmap(a1, b1) + tmap(a1, b2)
+        assert tmap(a1, b1).order() == omap(a1, b1).order()
+    # the generator pairs span the tensor product
+    pairs = tuple(tmap(a, b) for a in GroupHom.identity(g).images
+                  for b in GroupHom.identity(h).images)
+    assert GroupHom(FgGroup.free(len(pairs)), grp, pairs).is_surjective()
+
+
+def test_unit_tensors_agree_with_snf_oracle_up_to_automorphism():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        factors = random_factor_list(rng, max_factors=3, max_size=3)
+        invs = [invariants(f) for f in factors]
+        if any(not v.bf.is_finite for v in invs):
+            continue
+        grp, unit = invs[0].bf, invs[0].unit
+        ogrp, ounit = grp, unit
+        for v in invs[1:]:
+            grp, tmap = tensor(grp, v.bf)
+            unit = tmap(unit, v.unit)
+            ogrp, omap = oracle_tensor(ogrp, v.bf)
+            ounit = omap(ounit, v.unit)
+        assert grp == ogrp
+        assert aut_orbit_equivalent(grp, unit, ounit)
+        checked += 1
+
+
+def test_wide_semiprime_orders_do_not_hang():
+    p, q, r = 10 ** 24 + 7, 10 ** 24 + 49, 10 ** 25 + 13  # primes of about 25 digits
+    t0 = time.perf_counter()
+    g = FgGroup.from_orders([p * q, q * r])
+    h = FgGroup.from_orders([p * r, p * q * r])
+    total = direct_sum(g, h)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
+    assert g == FgGroup(0, (q, p * q * r)) and h == FgGroup(0, (p * r, p * q * r))
+    assert total == FgGroup(0, (p * q * r,) * 3)

@@ -4,9 +4,11 @@ from math import gcd
 import pytest
 
 from conftest import random_sft
-from groupoid_invariants import errors
+from groupoid_invariants import errors, sft
+from groupoid_invariants.abelianize import tfg_abelianization
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.fggroup import FgGroup, direct_sum, tensor
+from groupoid_invariants.homology import hk_check
 from groupoid_invariants.intmatrix import IntMatrix
 from groupoid_invariants.sft import (companion_matrix, det_id_minus,
                                      invariants, is_primitive,
@@ -122,3 +124,20 @@ def test_sft_abelianization_examples():
     inv = invariants(validate([[2, 1], [1, 2]]))
     expected = direct_sum(tensor(inv.bf, FgGroup.cyclic(2))[0], inv.k1)
     assert sft_abelianization(validate([[2, 1], [1, 2]])) == expected == FgGroup(1, (2,))
+
+
+def test_invariants_are_computed_once_per_object(monkeypatch):
+    calls = []
+    compute = sft._compute_invariants
+    monkeypatch.setattr(sft, "_compute_invariants",
+                        lambda m: calls.append(m) or compute(m))
+    a = validate([[1, 2], [1, 1]])
+    first = invariants(a)
+    assert invariants(a) is first and len(calls) == 1
+    # a product run reads each factor's invariants from its object
+    b = validate([[3]])
+    hk_check([a, b, b])
+    tfg_abelianization([a, b, b])
+    assert len(calls) == 2
+    # an equal but distinct object computes its own
+    assert invariants(validate([[1, 2], [1, 1]])) == first and len(calls) == 3
