@@ -3,6 +3,8 @@
 The package computes, with exact integer arithmetic throughout:
 
   * Smith normal forms, cokernels and kernels (``intmatrix``, ``fggroup``);
+    a square presentation with determinant D != 0 gets its cokernel from one
+    elimination modulo |D| instead, and only D = 0 takes a Smith normal form;
   * canonical forms and the tensor/Tor/Ext calculus of finitely generated
     abelian groups over a coprime base, without Smith normal forms
     (``fggroup``);
@@ -28,12 +30,13 @@ from .errors import (BoundExceeded, IncompatibleParameters, InternalError,
                      NegativeEntry, NotSquare, ParseError, PermutationMatrix,
                      Reducible, SftValidationError)
 from .fggroup import (FgElement, FgGroup, GroupHom, QuotientMap, TensorMap,
-                      cokernel, direct_sum, ext_group, is_quotient,
-                      kernel_group, tensor, tor)
+                      cokernel, cokernel_and_kernel, direct_sum, ext_group,
+                      is_quotient, kernel_group, tensor, tor)
 from .graded import GradedGroups
 from .homology import (HkReport, KTheory, hk_check, iterated_kunneth,
                        kunneth_pair, product_homology, product_k_theory)
-from .intmatrix import IntMatrix, SnfResult, smith_normal_form
+from .intmatrix import (IntMatrix, ModularSnf, SnfResult, smith_form_mod_det,
+                        smith_normal_form)
 from .sft import (SftInvariants, SftMatrix, companion_matrix, invariants,
                   is_primitive, sft_abelianization, thompson_factor_list,
                   validate)

@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import BoundExceeded, InternalError
-from .fggroup import FgElement, FgGroup, GroupHom, _factorint, cokernel
+from .fggroup import FgElement, FgGroup, GroupHom, _factorint
 from .intmatrix import IntMatrix, smith_normal_form
 
 DEFAULT_ORDER_BOUND = 10 ** 5

@@ -23,7 +23,7 @@ from .automorphisms import (DEFAULT_CANDIDATE_BOUND, DEFAULT_ORDER_BOUND,
                             aut_orbit_witness, enumerate_automorphisms)
 from .errors import BoundExceeded, InternalError
 from .fggroup import FgElement, FgGroup, GroupHom, tensor
-from .sft import SftMatrix, det_id_minus, invariants
+from .sft import SftMatrix, invariants
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
         return sft_isomorphic(factors_a[0], factors_b[0], order_bound=order_bound)
 
     n = len(factors_a)
-    data_a = [(invariants(f), det_id_minus(f)) for f in factors_a]
-    data_b = [(invariants(f), det_id_minus(f)) for f in factors_b]
+    data_a = [(inv, inv.det) for inv in map(invariants, factors_a)]
+    data_b = [(inv, inv.det) for inv in map(invariants, factors_b)]
     sort_key = lambda pair: (pair[0].free_rank, pair[0].torsion, pair[1])
     keys_a = sorted(((inv.bf, det) for inv, det in data_a), key=sort_key)
     keys_b = sorted(((inv.bf, det) for inv, det in data_b), key=sort_key)

@@ -9,7 +9,9 @@ matrices in row-major nested-list form; entries are JSON integers, not
 booleans.  Exit codes: 0 success, 1 negative verdict (not isomorphic, check
 failed, no character), 2 input error, 3 search bound exceeded, 4 internal
 error (a failed consistency check or any other uncaught exception; the
-traceback goes to stderr).
+traceback goes to stderr).  Input errors are the ``ParseError`` and
+``SftValidationError`` raised while parsing and validating documents and
+parameters; any other ``ValueError`` is a defect and exits 4.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ def parse_input(source: str) -> list[SftMatrix]:
                 # type(), not isinstance(): JSON true/false load as bool, an int subclass
                 or any(not all(type(x) is int for x in row) for row in mat)):
             raise errors.ParseError(f"factor {i} is not a nested integer array")
+        if any(len(row) != len(mat[0]) for row in mat):
+            raise errors.ParseError(f"factor {i} has rows of different lengths")
         out.append(validate(mat, factor_index=i))
     return out
 
@@ -77,6 +81,16 @@ def _elem_json(e: FgElement) -> dict:
 def _graded_json(h: GradedGroups) -> dict:
     return {"degrees": {str(n): _group_json(g) for n, g in h.items()},
             "unit_class": _elem_json(h.unit_class)}
+
+
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise errors.ParseError(f"{name} must be an integer, not {text!r}") from None
 
 
 def _parse_arities(text: str) -> tuple[int, ...]:
@@ -242,10 +256,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact invariants of products of SFT groupoids.")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--aut-bound", type=int,
-                   default=int(os.environ.get("GI_AUT_BOUND", DEFAULT_CANDIDATE_BOUND)),
+                   default=_env_int("GI_AUT_BOUND", DEFAULT_CANDIDATE_BOUND),
                    help="cap on automorphism search candidates")
     p.add_argument("--index-bound", type=int,
-                   default=int(os.environ.get("GI_INDEX_BOUND", 5)),
+                   default=_env_int("GI_INDEX_BOUND", 5),
                    help="largest generator index instantiated in relation checks")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -286,11 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)  # the defaults read the environment
         return args.fn(args)
-    except (errors.ParseError, errors.SftValidationError, ValueError) as exc:
+    except (errors.ParseError, errors.SftValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except errors.BoundExceeded as exc:

@@ -49,4 +49,6 @@ class PermutationMatrix(SftValidationError):
 
 
 class ParseError(ValueError):
-    """Malformed input document."""
+    """Malformed input: a document or value that does not parse, or a
+    parameter outside its range (an index bound, a target order, an arity
+    list)."""

@@ -25,9 +25,14 @@ pieces Z_gcd(d_i, e_j), whose canonical form is the merge above.  The
 element map sends each piece's base-b part x mod b^e to the invariant factor
 it was merged into, through the CRT idempotent of b^e there; it is built
 on first use.  The isomorphism onto the canonical form is not canonical, so
-element coordinates are meaningful only up to an automorphism.  Cokernels
-of general matrices (``cokernel``) use the Smith normal form; both kinds of
-projection are a ``QuotientMap``.
+element coordinates are meaningful only up to an automorphism.
+
+Cokernels of general matrices (``cokernel``) and kernels (``kernel_group``)
+use the Smith normal form.  ``cokernel_and_kernel`` takes a square
+presentation m with its determinant D: for D != 0 it reads coker m off one
+elimination modulo |D| (``intmatrix.smith_form_mod_det``) and ker m is 0;
+for D = 0 one Smith normal form supplies both.  Every projection, these and
+the tensor map, is a ``QuotientMap``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .intmatrix import IntMatrix, smith_normal_form
+from .intmatrix import IntMatrix, SnfResult, smith_form_mod_det, smith_normal_form
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -377,38 +382,66 @@ class QuotientMap:
         return self.group.element(acc[:r], acc[r:])
 
 
-def cokernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap]:
-    """Z^rows / (m Z^cols) in canonical form, with the projection map.
+def _projection(diag: Sequence[int], u: IntMatrix) -> tuple[FgGroup, QuotientMap]:
+    """The group (+) Z/diag[i] with the map x -> u x read against diag.
 
-    With the Smith normal form u*m*v = s, the class of x is u*x read against
-    the diagonal of s: rows with diagonal 0 are free coordinates, rows with
-    diagonal d >= 2 are coordinates mod d, rows with diagonal 1 vanish.
+    diag is a divisibility chain of the nonzero entries followed by zeros:
+    rows with diagonal 0 are free coordinates, rows with diagonal d >= 2 are
+    coordinates mod d, rows with diagonal 1 vanish.
     """
-    snf = smith_normal_form(m)
-    diag = list(snf.diagonal()) + [0] * (m.rows - min(m.rows, m.cols))
     grp = FgGroup(free_rank=diag.count(0), torsion=tuple(d for d in diag if d >= 2))
     # canonical coordinates: free rows first, then torsion rows
     targets = list(enumerate([i for i, d in enumerate(diag) if d == 0]
                              + [i for i, d in enumerate(diag) if d >= 2]))
     columns = []
-    for k in range(m.rows):
+    for k in range(u.cols):
         col = []
         for coord, i in targets:
             d = diag[i]
-            c = snf.u[i, k] % d if d else snf.u[i, k]
+            c = u[i, k] % d if d else u[i, k]
             if c:
                 col.append((coord, c))
         columns.append(tuple(col))
     return grp, QuotientMap(grp, tuple(columns))
 
 
-def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
-    """The (free) kernel {x in Z^cols : m x = 0} with an explicit basis."""
-    snf = smith_normal_form(m)
+def _snf_cokernel(m: IntMatrix, snf: SnfResult) -> tuple[FgGroup, QuotientMap]:
+    # with u*m*v = s, the class of x is u*x read against the diagonal of s
+    return _projection(list(snf.diagonal()) + [0] * (m.rows - min(m.rows, m.cols)), snf.u)
+
+
+def _snf_kernel(m: IntMatrix, snf: SnfResult) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
+    # the columns of v past the rank span the kernel
     rank = snf.rank()
     basis = tuple(tuple(snf.v[i, j] for i in range(m.cols))
                   for j in range(rank, m.cols))
     return FgGroup.free(len(basis)), basis
+
+
+def cokernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap]:
+    """Z^rows / (m Z^cols) in canonical form, with the projection map."""
+    return _snf_cokernel(m, smith_normal_form(m))
+
+
+def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
+    """The (free) kernel {x in Z^cols : m x = 0} with an explicit basis."""
+    return _snf_kernel(m, smith_normal_form(m))
+
+
+def cokernel_and_kernel(m: IntMatrix, det: int) -> tuple[FgGroup, QuotientMap, FgGroup]:
+    """coker m with its projection, and ker m, for a square m whose
+    determinant is det.
+
+    det != 0: one elimination modulo |det| (``smith_form_mod_det``), and the
+    kernel is 0.  det = 0: one Smith normal form supplies both.
+    """
+    if det:
+        red = smith_form_mod_det(m, det)
+        grp, qmap = _projection(red.factors, red.u)
+        return grp, qmap, FgGroup.trivial()
+    snf = smith_normal_form(m)
+    grp, qmap = _snf_cokernel(m, snf)
+    return grp, qmap, _snf_kernel(m, snf)[0]
 
 
 def _piece_order(a: int, b: int) -> int:

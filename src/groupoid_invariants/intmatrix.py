@@ -2,12 +2,25 @@
 
 Everything here is exact: entries are Python ints, so adjacency matrices with
 large determinants never overflow.
+
+Two diagonal reductions serve cokernels.  ``smith_normal_form`` works over Z
+and keeps both transforms; it is the one for singular matrices, whose kernel
+needs the right transform.  ``smith_form_mod_det`` is for a square matrix m
+with det m = D != 0: m @ adj(m) = D * I puts D Z^n inside the image of m, so
+coker m = (Z/|D|)^n / image, and elimination modulo |D| keeps every entry
+below |D| (the modular-determinant method of Domich-Kannan-Trotter, Math.
+Oper. Res. 1987, and Hafner-McCurley, SIAM J. Comput. 1991).  Over Z the
+transform entries of a dense n x n matrix grow to thousands of bits; modulo
+|D| they stay at the size of D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
+
+from .errors import InternalError
 
 
 @dataclass(frozen=True)
@@ -259,3 +272,163 @@ def _finalize(a, u, v) -> SnfResult:
     # column operations were applied to v directly, so v is already u*m*v's
     # right transform
     return SnfResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
+
+
+@dataclass(frozen=True)
+class ModularSnf:
+    """Diagonal reduction of a square matrix m modulo N = |det m| != 0.
+
+    For some u and v invertible modulo N, u @ m @ v is congruent modulo N to
+    a diagonal matrix diag(s_1, ..., s_n).  ``factors`` are the gcd(s_i, N)
+    other than 1, a divisibility chain: coker m is their direct sum.  Row r
+    of ``u`` is the row of u that belongs to factors[r], reduced modulo it,
+    so the class of x in coker m has coordinates (u x)_r mod factors[r].
+    """
+
+    factors: tuple[int, ...]
+    u: IntMatrix
+
+
+def _inverse_mod(x: int, n: int) -> int:
+    try:
+        return pow(x, -1, n)
+    except ValueError:
+        raise InternalError(f"{x} has no inverse modulo {n}") from None
+
+
+def smith_form_mod_det(m: IntMatrix, det: int) -> ModularSnf:
+    """Reduce a square m with determinant det != 0 by row and column
+    operations modulo N = |det|.
+
+    The pivot is the first unit modulo N in the remaining block, row by row,
+    and when there is none the nonzero entry of least absolute value in
+    symmetric residues.  A unit pivot is scaled to 1 and its column cleared
+    exactly; its row then needs no column operations, because they leave u
+    alone, and its diagonal entry is 1.  Any other pivot p clears every entry
+    that g = gcd(p, N) divides exactly (q p = x modulo N with
+    q = (x/g) (p/g)^-1 modulo N/g) and leaves the Euclidean remainder of the
+    rest, so the next pivot is a unit or smaller; once its row and column
+    are clear, g must divide the remaining block, or an offending row is
+    added to the pivot row, as in ``smith_normal_form``.  A remaining block
+    that is 0 modulo N gives diagonal entries N.
+
+    Row operations are logged, not applied to u: row r of u is e_r times the
+    operations in reverse order, and only the rows of nontrivial factors are
+    needed, so u costs O(n^2) per factor instead of O(n^3).
+    """
+    if not m.is_square or det == 0:
+        raise ValueError("need a square matrix and its nonzero determinant")
+    n = m.rows
+    mod = abs(det)
+    half = mod // 2
+    a = [[x % mod for x in m.row(i)] for i in range(n)]
+    log: list[tuple[int, int, int | None]] = []  # row dst += q * row src; q None: swap
+    diag: list[int] = []
+
+    def pick(t):
+        best, best_v = None, mod
+        for i in range(t, n):
+            ai = a[i]
+            for j in range(t, n):
+                x = ai[j]
+                if x:
+                    if gcd(x, mod) == 1:
+                        return i, j
+                    v = x if x <= half else mod - x
+                    if v < best_v:
+                        best, best_v = (i, j), v
+        return best
+
+    def add_row(src, dst, q, t):
+        # row dst += q * row src, modulo N; columns < t of both rows are 0
+        rs, rd = a[src], a[dst]
+        rd[t:] = [(y + q * z) % mod for y, z in zip(rd[t:], rs[t:])]
+        log.append((src, dst, q))
+
+    def scale_row(t, c):
+        a[t] = [x * c % mod for x in a[t]]
+        log.append((t, t, c - 1))
+
+    def clear(t, p, g, pinv):
+        # clear column t below and row t beyond the pivot p = a[t][t] as far
+        # as exact multiples allow; True if a Euclidean remainder is left
+        dirty = False
+        ng = mod // g
+        for i in range(t + 1, n):
+            x = a[i][t]
+            if x:
+                q = (x // g) * pinv % ng if x % g == 0 else x // p
+                add_row(t, i, -q, t)
+                dirty = dirty or a[i][t] != 0
+        rt = a[t]
+        touched = [r for r in a[t:] if r[t]]  # column operations change only these rows
+        for j in range(t + 1, n):
+            x = rt[j]
+            if x:
+                q = (x // g) * pinv % ng if x % g == 0 else x // p
+                for r in touched:
+                    r[j] = (r[j] - q * r[t]) % mod
+                dirty = dirty or rt[j] != 0
+        return dirty
+
+    t = 0
+    while t < n:
+        best = pick(t)
+        if best is None:
+            diag.extend([mod] * (n - t))  # the remaining block is 0 modulo N
+            break
+        bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+            log.append((t, bi, None))
+        if bj != t:
+            for r in a[t:]:
+                r[t], r[bj] = r[bj], r[t]
+        p = a[t][t]
+        g = gcd(p, mod)
+        if g == 1:
+            if p != 1:
+                scale_row(t, _inverse_mod(p, mod))
+            for i in range(t + 1, n):
+                x = a[i][t]
+                if x:
+                    add_row(t, i, -x, t)
+            diag.append(1)
+            t += 1
+            continue
+        if p > half:
+            scale_row(t, mod - 1)
+            p = a[t][t]
+        pinv = _inverse_mod(p // g, mod // g)
+        while not (dirty := clear(t, p, g, pinv)):
+            offender = next((i for i in range(t + 1, n)
+                             if any(x % g for x in a[i][t + 1:])), None)
+            if offender is None:
+                break
+            add_row(offender, t, 1, t)  # its row entries leave remainders mod p
+        if dirty:
+            continue  # a remainder below p is the next pivot
+        diag.append(g)
+        t += 1
+    if any(b % c for c, b in zip(diag, diag[1:])):
+        raise InternalError(f"modular diagonal {diag} is not a divisibility chain")
+    first = next((r for r, d in enumerate(diag) if d > 1), n)
+    u = [x for r in range(first, n) for x in _transform_row(log, r, diag[r], n)]
+    return ModularSnf(tuple(diag[first:]), IntMatrix(n - first, n, tuple(u)))
+
+
+def _transform_row(log, r: int, d: int, n: int) -> list[int]:
+    """Row r of the product of the logged row operations, modulo d.
+
+    With u = E_K ... E_1, e_r u is e_r E_K ... E_1: right-multiplying a row
+    vector by "row dst += q row src" adds q y[dst] to y[src], and by a swap
+    swaps two entries, so each operation costs O(1).
+    """
+    y = [0] * n
+    y[r] = 1 % d
+    for src, dst, q in reversed(log):
+        if q is None:
+            y[src], y[dst] = y[dst], y[src]
+        else:
+            y[src] = (y[src] + q * y[dst]) % d
+    return y

@@ -6,8 +6,14 @@ invariants are exact integer-linear-algebra data:
   * H_0 = K_0 = coker(id - A^t) on Z^N  (the Bowen-Franks group of A^t),
   * H_1 = K_1 = ker(id - A^t), a free group,
   * the unit class u_A = class of (1, ..., 1) in H_0,
-  * sgn det(id - A),
+  * det(id - A) and its sign,
   * the full-group abelianization (H_0 (x) Z/2) (+) H_1.
+
+``invariants`` computes D = det(id - A^t) once, by Bareiss elimination, and
+then: for D != 0, H_0 and the unit class from one elimination modulo |D|
+(``intmatrix.smith_form_mod_det``) and H_1 = 0, with an exact check that
+|H_0| = |D|; for D = 0, H_0, the unit class and H_1 from one Smith normal
+form.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import errors
-from .fggroup import FgElement, FgGroup, direct_sum, cokernel, kernel_group, tensor
+from .fggroup import FgElement, FgGroup, cokernel_and_kernel, direct_sum, tensor
 from .graded import GradedGroups
 from .intmatrix import IntMatrix
 
@@ -85,6 +91,7 @@ def _is_permutation(m: IntMatrix) -> bool:
 class SftInvariants:
     bf: FgGroup
     unit: FgElement
+    det: int
     det_sign: int
     homology: GradedGroups
     k0: FgGroup
@@ -99,14 +106,20 @@ def invariants(a: SftMatrix) -> SftInvariants:
 def _compute_invariants(m: IntMatrix) -> SftInvariants:
     n = m.rows
     pres = IntMatrix.identity(n) - m.transpose()
-    bf, qmap = cokernel(pres)
+    det = pres.det()  # det(id - A^t) = det(id - A)
+    bf, qmap, h1 = cokernel_and_kernel(pres, det)
     unit = qmap((1,) * n)
-    det = (IntMatrix.identity(n) - m).det()
-    h1, _ = kernel_group(pres)
+    if det:
+        exponent = bf.torsion[-1] if bf.torsion else 1
+        if bf.order() != abs(det) or not unit.scale(exponent).is_zero:
+            raise errors.InternalError(
+                f"elimination modulo |det| = {abs(det)} gave BF = {bf} "
+                f"with unit class {unit.coords()}")
     homology = GradedGroups({0: bf, 1: h1}, unit)
     return SftInvariants(
         bf=bf,
         unit=unit,
+        det=det,
         det_sign=(det > 0) - (det < 0),
         homology=homology,
         k0=bf,
@@ -115,8 +128,8 @@ def _compute_invariants(m: IntMatrix) -> SftInvariants:
 
 
 def det_id_minus(a: SftMatrix) -> int:
-    """det(id - A), exact."""
-    return (IntMatrix.identity(a.size) - a.a).det()
+    """det(id - A), exact; read from the cached invariants."""
+    return invariants(a).det
 
 
 def is_primitive(a: SftMatrix) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .errors import BoundExceeded, IncompatibleParameters, InternalError
+from .errors import BoundExceeded, IncompatibleParameters, InternalError, ParseError
 
 MAX_WORD_DEPTH = 64
 
@@ -320,9 +320,9 @@ def baker(d: int, d_prime: int, arities, block: int = 1) -> TableElement:
     arities = tuple(arities)
     n = len(arities)
     if d == d_prime:
-        raise ValueError("need two distinct coordinates")
+        raise ParseError("need two distinct coordinates")
     if arities[d - 1] != arities[d_prime - 1]:
-        raise ValueError("coordinates must have equal arities")
+        raise ParseError("coordinates must have equal arities")
     empty = _empty_words(n)
     ents = [(Brick(empty, j), Brick(empty, j)) for j in range(1, block)]
     for a in range(arities[d_prime - 1]):
@@ -346,10 +346,10 @@ def verify_relations(n: int, k, index_bound: int) -> RelationReport:
     """Instantiate every defining relation family up to the index bound and
     check both sides agree as table elements."""
     if index_bound < 2:
-        raise ValueError("index_bound must be >= 2")
+        raise ParseError("index_bound must be >= 2")
     arities = tuple(k)
     if len(arities) != n:
-        raise ValueError("arity list length must equal n")
+        raise ParseError("arity list length must equal n")
     checked = 0
     failures: list[str] = []
 
@@ -440,10 +440,10 @@ def character_search(n: int, k, target_order: int,
     which is solved exhaustively over Z/m.
     """
     if target_order < 2:
-        raise ValueError("target_order must be >= 2")
+        raise ParseError("target_order must be >= 2")
     arities = tuple(k)
     if len(arities) != n:
-        raise ValueError("arity list length must equal n")
+        raise ParseError("arity list length must equal n")
     m = target_order
     if m ** n > assignment_bound:
         raise BoundExceeded("assignment space larger than the configured bound")

@@ -159,3 +159,33 @@ def test_internal_errors_are_not_input_errors(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_validate", lambda args: _modinv(2, 4))
     code, _, err = run(capsys, "validate", '{"factors": [[[2]]]}')
     assert code == 4 and "InternalError" in err
+
+
+def test_library_value_errors_exit_internal(capsys, monkeypatch):
+    # a ValueError from inside the library is a defect, not a bad input; the
+    # CLI reads sft.invariants through its own binding
+    def broken(factor):
+        raise ValueError("generator image order incompatible with relation")
+    monkeypatch.setattr(cli, "invariants", broken)
+    code, out, err = run(capsys, "invariants", '{"factors": [[[3]]]}')
+    assert code == 4 and out == ""
+    assert "internal error" in err and "ValueError" in err
+
+
+def test_bad_parameters_exit_input(capsys):
+    assert run(capsys, "relations-check", "--arities", "2,x")[0] == 2
+    assert run(capsys, "relations-check", "--arities", "2,1")[0] == 2
+    assert run(capsys, "--index-bound", "1", "relations-check", "--arities", "2,2")[0] == 2
+    assert run(capsys, "character-search", "--arities", "3,3",
+               "--target-order", "1")[0] == 2
+    code, _, err = run(capsys, "validate", '{"factors": [[[1, 2], [1]]]}')
+    assert code == 2 and "rows of different lengths" in err
+
+
+def test_bad_environment_defaults_exit_input(capsys, monkeypatch):
+    monkeypatch.setenv("GI_INDEX_BOUND", "x")
+    code, _, err = run(capsys, "relations-check", "--arities", "2,2")
+    assert code == 2 and "GI_INDEX_BOUND" in err
+    monkeypatch.delenv("GI_INDEX_BOUND")
+    monkeypatch.setenv("GI_AUT_BOUND", "1e7")
+    assert run(capsys, "validate", '{"factors": [[[2]]]}')[0] == 2

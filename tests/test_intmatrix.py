@@ -4,7 +4,11 @@ from itertools import permutations
 
 import pytest
 
-from groupoid_invariants.intmatrix import IntMatrix, smith_normal_form
+from groupoid_invariants.automorphisms import aut_orbit_equivalent
+from groupoid_invariants.errors import InternalError
+from groupoid_invariants.fggroup import FgGroup, GroupHom, cokernel, cokernel_and_kernel
+from groupoid_invariants.intmatrix import (IntMatrix, _inverse_mod, smith_form_mod_det,
+                                          smith_normal_form)
 
 
 def snf_invariants_hold(m, snf):
@@ -127,3 +131,88 @@ def test_matrix_basics():
     assert (m - m) == IntMatrix.zeros(2, 2)
     with pytest.raises(ValueError):
         IntMatrix(2, 2, (1, 2, 3))
+
+
+def _random_unimodular(rng, n, steps=24):
+    rows = IntMatrix.identity(n).to_rows()
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = rng.choice((-2, -1, 1, 2))
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+def _modular_corpus():
+    """Nonsingular square matrices: SFT presentations id - A^t with entries
+    0-3 and n = 2..12, companion-matrix presentations, and diagonal block sums
+    with square factors ((Z/2)^k, (Z/4)^2, ...) hidden by unimodular changes
+    of basis, which force pivots that are not units modulo det."""
+    rng = random.Random(1512)
+    corpus = []
+    for n in range(2, 13):
+        for _ in range(12):
+            a = IntMatrix.from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+            corpus.append(IntMatrix.identity(n) - a.transpose())
+    for k in range(2, 7):
+        for r in range(1, 5):
+            comp = [[0] * r for _ in range(r)]
+            comp[0][r - 1] = k
+            for i in range(1, r):
+                comp[i][i - 1] = 1
+            corpus.append(IntMatrix.identity(r) - IntMatrix.from_rows(comp).transpose())
+    for diag in ([2, 2], [2, 2, 2], [4, 4], [2, 4, 8], [3, 9, 3], [6, 12],
+                 [1, 2, 2, 4], [2, 2, 2, 2, 3], [5, 1, 25], [-2, 2, 1, 1, 4]):
+        d = IntMatrix.diagonal(diag)
+        n = d.rows
+        corpus.append(d)
+        for _ in range(3):
+            corpus.append(_random_unimodular(rng, n) @ d @ _random_unimodular(rng, n))
+    return [m for m in corpus if m.det() != 0]
+
+
+def test_modular_cokernel_matches_snf_cokernel():
+    corpus = _modular_corpus()
+    assert len(corpus) > 150
+    for m in corpus:
+        n = m.rows
+        det = m.det()
+        grp, qmap, ker = cokernel_and_kernel(m, det)
+        ref, ref_map = cokernel(m)
+        assert grp == ref and ker.is_trivial
+        assert grp.order() == abs(det)
+        # the projection kills the image and its unit vectors generate: with
+        # |grp| = |coker m| it is the cokernel projection
+        for j in range(n):
+            assert qmap([m[i, j] for i in range(n)]).is_zero
+        basis = [qmap([int(i == k) for i in range(n)]) for k in range(n)]
+        assert GroupHom(FgGroup.free(n), grp, tuple(basis)).is_surjective()
+        ones = (1,) * n
+        u, ref_u = qmap(ones), ref_map(ones)
+        assert u.order() == ref_u.order()
+        # in a cyclic group the units act transitively on the elements of
+        # each order, so equal orders already decide the orbit there
+        if len(grp.torsion) > 1 and grp.order() <= 10 ** 4:
+            assert aut_orbit_equivalent(grp, u, ref_u)
+
+
+def test_modular_reduction_of_square_factor_block_sums():
+    rng = random.Random(5)
+    for diag, factors in (([2, 2, 2], (2, 2, 2)), ([4, 4], (4, 4)),
+                          ([2, 4, 8], (2, 4, 8)), ([6, 12], (6, 12)),
+                          ([3, 9, 3], (3, 3, 9)), ([1, 1, 7], (7,)),
+                          ([1, 1, 1], ())):
+        d = IntMatrix.diagonal(diag)
+        m = _random_unimodular(rng, d.rows) @ d @ _random_unimodular(rng, d.rows)
+        red = smith_form_mod_det(m, m.det())
+        assert red.factors == factors and math.prod(factors) == math.prod(diag)
+        assert (red.u.rows, red.u.cols) == (len(factors), d.rows)
+        assert all(0 <= x < f for r, f in enumerate(factors) for x in red.u.row(r))
+
+
+def test_modular_inverse_failure_is_an_internal_error():
+    assert _inverse_mod(3, 8) == 3
+    with pytest.raises(InternalError):
+        _inverse_mod(2, 4)

@@ -1,15 +1,17 @@
 import random
+import sys
 from math import gcd
 
 import pytest
 
 from conftest import random_sft
-from groupoid_invariants import errors, sft
+from groupoid_invariants import errors, fggroup, sft
 from groupoid_invariants.abelianize import tfg_abelianization
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
-from groupoid_invariants.fggroup import FgGroup, direct_sum, tensor
+from groupoid_invariants.classify import product_isomorphic
+from groupoid_invariants.fggroup import FgGroup, cokernel, direct_sum, tensor
 from groupoid_invariants.homology import hk_check
-from groupoid_invariants.intmatrix import IntMatrix
+from groupoid_invariants.intmatrix import IntMatrix, ModularSnf
 from groupoid_invariants.sft import (companion_matrix, det_id_minus,
                                      invariants, is_primitive,
                                      sft_abelianization, validate)
@@ -141,3 +143,94 @@ def test_invariants_are_computed_once_per_object(monkeypatch):
     assert len(calls) == 2
     # an equal but distinct object computes its own
     assert invariants(validate([[1, 2], [1, 1]])) == first and len(calls) == 3
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of the package function ``name`` through every module
+    that bound it."""
+    calls = []
+    original = getattr(sys.modules["groupoid_invariants.intmatrix"], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("groupoid_invariants") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_singular_presentation_takes_one_smith_normal_form(monkeypatch):
+    calls = _count_calls(monkeypatch, "smith_normal_form")
+    inv = invariants(validate([[2, 1], [1, 2]]))  # det(id - A) = 0
+    assert len(calls) == 1
+    assert inv.det == 0 and inv.bf == FgGroup.free(1) and inv.k1 == FgGroup.free(1)
+    # a nonsingular presentation takes none
+    inv = invariants(validate([[1, 2], [2, 1]]))
+    assert len(calls) == 1
+    assert inv.det == -4 and inv.bf == FgGroup.from_orders([2, 2]) and inv.k1.is_trivial
+
+
+def test_product_isomorphic_computes_each_determinant_once(monkeypatch):
+    calls = []
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: calls.append(m) or det(m))
+    fa = [validate([[3]]), validate([[1, 2], [1, 1]])]
+    fb = [validate([[1, 2], [1, 1]]), validate([[3]])]
+    assert product_isomorphic(fa, fb).isomorphic
+    assert len(calls) == 4  # one per factor object
+    assert [det_id_minus(f) for f in fa + fb] == [-2, -2, -2, -2]
+    assert len(calls) == 4
+
+
+def test_square_factor_bowen_franks_groups():
+    # id - A = -k (J - I) off the diagonal: BF = (Z/k)^2 and det = -k^2
+    for k in (2, 3, 4, 6):
+        inv = invariants(validate([[1, k], [k, 1]]))
+        assert inv.bf == FgGroup.from_orders([k, k]) and inv.det == -k * k
+        assert inv.unit.order() == k
+    pres = IntMatrix.identity(3) - IntMatrix.from_rows([[1, 2, 2], [2, 1, 2], [2, 2, 1]])
+    inv = invariants(validate([[1, 2, 2], [2, 1, 2], [2, 2, 1]]))
+    assert inv.bf == cokernel(pres)[0] == FgGroup.from_orders([2, 2, 4])
+    assert inv.det == pres.det() == -16
+
+
+def _rank_mod_p(m: IntMatrix, p: int) -> int:
+    rows = [[x % p for x in m.row(i)] for i in range(m.rows)]
+    rank = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_invariants_of_a_90_vertex_matrix():
+    rng = random.Random(9090)
+    n = 90
+    f = validate([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+    inv = invariants(f)
+    pres = IntMatrix.identity(n) - f.a.transpose()
+    assert inv.det != 0 and inv.k1.is_trivial
+    assert inv.bf.order() == abs(inv.det)
+    for p in (2, 3):
+        # dim (BF (x) Z/p) = n - rank(id - A^t mod p)
+        assert sum(1 for d in inv.bf.torsion if d % p == 0) == n - _rank_mod_p(pres, p)
+
+
+def test_modular_self_check_rejects_a_wrong_reduction(monkeypatch):
+    reduce = fggroup.smith_form_mod_det
+
+    def doubled(m, det):
+        red = reduce(m, det)
+        return ModularSnf(tuple(2 * d for d in red.factors), red.u)
+    monkeypatch.setattr(fggroup, "smith_form_mod_det", doubled)
+    with pytest.raises(errors.InternalError):
+        invariants(validate([[3]]))
