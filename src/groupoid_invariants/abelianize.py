@@ -53,15 +53,14 @@ class H0Decomposition:
         return FgGroup.from_orders(self.factor_orders[d])
 
 
-def decompose_h0(a: SftMatrix, primary: bool = False) -> tuple[int, ...]:
-    """Cyclic orders of H_0 for one factor: invariant factors by default,
-    prime powers when primary is set; free rank shows up as zeros."""
-    bf = invariants(a).bf
-    return bf.primary_orders() if primary else bf.orders()
+def decompose_h0(a: SftMatrix) -> tuple[int, ...]:
+    """Cyclic orders of H_0 for one factor: its invariant factors, with the
+    free rank showing up as zeros."""
+    return invariants(a).bf.orders()
 
 
-def decompose_all(factors: list[SftMatrix], primary: bool = False) -> H0Decomposition:
-    dec = H0Decomposition(tuple(decompose_h0(f, primary) for f in factors))
+def decompose_all(factors: list[SftMatrix]) -> H0Decomposition:
+    dec = H0Decomposition(tuple(decompose_h0(f) for f in factors))
     for orders, f in zip(dec.factor_orders, factors):
         if FgGroup.from_orders(orders) != invariants(f).bf:
             raise InternalError("cyclic decomposition does not rebuild the Bowen-Franks group")
@@ -98,13 +97,12 @@ def _tp_order(m_vec: tuple[int, ...], p: int) -> int:
 
 
 def extension_data(factors: list[SftMatrix],
-                   decomposition: H0Decomposition | None = None,
-                   primary: bool = False) -> ExtensionData:
+                   decomposition: H0Decomposition | None = None) -> ExtensionData:
     """Compute S(i), T_p(i), J_0 and the extension-class support."""
     if not factors:
         raise ValueError("need at least one factor")
     if decomposition is None:
-        decomposition = decompose_all(factors, primary)
+        decomposition = decompose_all(factors)
     invs = [invariants(f) for f in factors]
     n = len(factors)
 
@@ -147,10 +145,9 @@ def extension_data(factors: list[SftMatrix],
 
 
 def tfg_abelianization(factors: list[SftMatrix],
-                       decomposition: H0Decomposition | None = None,
-                       primary: bool = False) -> FgGroup:
+                       decomposition: H0Decomposition | None = None) -> FgGroup:
     """The full-group abelianization of the product groupoid, canonical form."""
-    data = extension_data(factors, decomposition, primary)
+    data = extension_data(factors, decomposition)
     orders = list(data.split_part.orders())
     by_tuple: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for (p, idx), g2 in data.tp_summands.items():

@@ -1,31 +1,63 @@
 """Automorphism groups of f.g. abelian groups and orbit decisions on elements.
 
-Two complementary tools live here.
-
 ``enumerate_automorphisms`` exhausts Aut(T) for a finite T by running over
 all generator-image tuples (Hom(Z_d, Z_e) has gcd(d, e) elements) and keeping
 the bijective ones.  The candidate count explodes quickly, so it is guarded
 by configurable bounds and raises ``BoundExceeded`` rather than guessing.
 
-``aut_orbit_equivalent`` decides whether some automorphism maps a to b.  For
-the torsion part it computes the orbit closure under an elementary generating
-set of Aut(T_p) per prime p (unit scalings g_i -> u*g_i and transvections
-g_j -> g_j + p^max(0, e_i - e_j) * g_i); a Gaussian-elimination argument shows
-these generate, so the closure is the full orbit.  Mixed free/torsion groups
-reduce to the torsion case: Hom(T, Z^r) = 0 makes every automorphism of
-Z^r (+) T lower triangular, so the orbit of (f, t) is determined by the
-content gcd d of f together with the Aut(T)-orbit of t modulo d*T.
+``aut_orbit_equivalent`` decides in closed form whether some automorphism
+maps a to b, and ``aut_orbit_witness`` builds one.  Neither is bounded: the
+work is gcds, valuations and a few elementary automorphisms per base element.
+
+Free part.  Hom(T, Z^r) = 0 makes every automorphism of Z^r (+) T lower
+triangular, (f, t) -> (M f, psi(t) + phi(f)) with phi: Z^r -> T arbitrary.
+So (f, t) and (f', t') share an orbit iff f and f' have the same content c
+(the gcd of the coordinates, 0 for f = 0) and some psi in Aut(T) carries t
+to t' modulo cT.
+
+Coprime base.  The invariant factors d_j, the gcd(t_j, d_j) and
+gcd(t'_j, d_j) of both elements and the gcd(c, d_j) are refined into a
+pairwise coprime base (``fggroup._coprime_base``); nothing is factored.  By
+CRT, T is the direct sum of its parts T_q = (+)_j Z/q^lam_j over the base
+elements q, with q^lam_j exactly dividing d_j.  Aut(T) is the product of the
+Aut(T_q), and cT_q = q^delta T_q with q^delta exactly dividing gcd(c, d_s)
+(so delta = max lam for c = 0).  Every prime of q sees the same exponents
+times its multiplicity in q, so q-adic valuations stand in for p-adic ones.
+
+The criterion (G. A. Miller 1905; Dutta-Prasad, "Degenerations and orbits in
+finite abelian groups", J. Group Theory 2011).  A coordinate x_j of T_q of
+q-adic valuation v < lam_j gives the pair (v, lam_j).  Pairs are ordered by
+(v, lam) <= (v', lam') iff v <= v' and lam' - v' <= lam - v.  The pairs with
+v < min(lam, delta) are kept, and x and x' share an orbit modulo q^delta T_q
+iff their minimal kept pairs are equal.  Proof:
+
+* Invariance.  An endomorphism's coordinate matrix M has q^max(0, lam_i -
+  lam_j) dividing M_ij, so coordinate i of Mx has valuation at least
+  v_j + max(0, lam_i - lam_j) for some nonzero x_j: each pair of Mx lies
+  above a pair of x.  So automorphisms fix the up-set U(x) of the pairs of x.
+  The kept region {v < min(lam, delta)} is closed downwards, so the minimal
+  kept pairs are the minimal elements of U(x) inside it, and adding an
+  element of q^delta T_q changes no kept pair and creates none.
+* Normal form.  Scale each kept coordinate by the inverse of its unit part,
+  so that it reads q^v.  Clear each kept pair above another kept pair j (or
+  equal to one in an earlier slot) by x_i += -q^(v_i - v_j) x_j; this is an
+  automorphism because v_i - v_j >= max(0, lam_i - lam_j).  Minimal pairs
+  have distinct lam; swap each into the first slot with its lam.  What is
+  left besides sum q^v e_lam over the minimal pairs lies in q^delta T_q.
+
+The witness is N'^-1 N on each T_q, where N and N' normalise t and t', put
+together by CRT; the free part then solves c w = t' - psi(t) in T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
 from .errors import BoundExceeded, InternalError
-from .fggroup import FgElement, FgGroup, GroupHom, _factorint
-from .intmatrix import IntMatrix, smith_normal_form
+from .fggroup import (FgElement, FgGroup, GroupHom, _coprime_base, _idempotent,
+                      _valuation)
+from .intmatrix import IntMatrix, _inverse_mod, smith_normal_form
 
 DEFAULT_ORDER_BOUND = 10 ** 5
 DEFAULT_CANDIDATE_BOUND = 10 ** 7
@@ -39,136 +71,6 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return snf.v @ snf.u
 
 
-def _modinv(a: int, n: int) -> int:
-    if n == 1:
-        return 0
-    t, new_t, r, new_r = 0, 1, n, a % n
-    while new_r:
-        q = r // new_r
-        t, new_t = new_t, t - q * new_t
-        r, new_r = new_r, r - q * new_r
-    if r != 1:
-        raise InternalError(f"{a} is not invertible modulo {n}")
-    return t % n
-
-
-@dataclass(frozen=True)
-class _Slot:
-    prime: int
-    exponent: int
-    inv_index: int  # which invariant factor this prime power came from
-
-    @property
-    def modulus(self) -> int:
-        return self.prime ** self.exponent
-
-
-class _PrimaryView:
-    """CRT coordinates of a finite abelian group, one slot per prime power."""
-
-    def __init__(self, group: FgGroup):
-        if not group.is_finite:
-            raise ValueError("primary view needs a finite group")
-        self.group = group
-        self.slots: list[_Slot] = []
-        for i, d in enumerate(group.torsion):
-            for p, e in sorted(_factorint(d).items()):
-                self.slots.append(_Slot(p, e, i))
-        self.blocks: dict[int, list[int]] = {}
-        for s_idx, slot in enumerate(self.slots):
-            self.blocks.setdefault(slot.prime, []).append(s_idx)
-        # CRT lift coefficients: slot value v contributes v * crt_coeff to its
-        # invariant factor coordinate
-        self._crt = []
-        for slot in self.slots:
-            d = group.torsion[slot.inv_index]
-            q = slot.modulus
-            rest = d // q  # coprime to q, since q is the full p-part of d
-            self._crt.append(1 % d if rest == 1 else rest * _modinv(rest % q, q) % d)
-
-    def to_primary(self, torsion_coords) -> tuple[int, ...]:
-        return tuple(torsion_coords[s.inv_index] % s.modulus for s in self.slots)
-
-    def from_primary(self, primary) -> tuple[int, ...]:
-        coords = [0] * len(self.group.torsion)
-        for v, slot, c in zip(primary, self.slots, self._crt):
-            d = self.group.torsion[slot.inv_index]
-            coords[slot.inv_index] = (coords[slot.inv_index] + v * c) % d
-        return tuple(coords)
-
-    def generators(self):
-        """Elementary Aut generators as (prime, transition, matrix) triples.
-
-        transition maps a primary coordinate tuple to its image; matrix is the
-        action on the prime's block, used for witness reconstruction.
-        """
-        gens = []
-        for p, block in self.blocks.items():
-            k = len(block)
-            exps = [self.slots[i].exponent for i in block]
-            for bi in range(k):
-                q = p ** exps[bi]
-                s_idx = block[bi]
-                for u in range(2, q):
-                    if u % p == 0:
-                        continue
-                    gens.append((p, _unit_transition(s_idx, u, q),
-                                 _unit_matrix(k, bi, u)))
-            for bi in range(k):
-                for bj in range(k):
-                    if bi == bj:
-                        continue
-                    c = p ** max(0, exps[bi] - exps[bj])
-                    q = p ** exps[bi]
-                    gens.append((p, _transvection_transition(block[bi], block[bj], c, q),
-                                 _transvection_matrix(k, bi, bj, c)))
-        return gens
-
-
-def _unit_transition(s_idx, u, q):
-    def f(x):
-        y = list(x)
-        y[s_idx] = y[s_idx] * u % q
-        return tuple(y)
-    return f
-
-
-def _transvection_transition(si, sj, c, q):
-    def f(x):
-        y = list(x)
-        y[si] = (y[si] + c * x[sj]) % q
-        return tuple(y)
-    return f
-
-
-def _unit_matrix(k, bi, u):
-    m = [[1 if a == b else 0 for b in range(k)] for a in range(k)]
-    m[bi][bi] = u
-    return m
-
-
-def _transvection_matrix(k, bi, bj, c):
-    m = [[1 if a == b else 0 for b in range(k)] for a in range(k)]
-    m[bi][bj] = c
-    return m
-
-
-def _orbit(view: _PrimaryView, start: tuple[int, ...], track_parents: bool):
-    gens = view.generators()
-    parents: dict[tuple, tuple | None] = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, (_, trans, _) in enumerate(gens):
-                y = trans(x)
-                if y not in parents:
-                    parents[y] = (x, gi) if track_parents else None
-                    nxt.append(y)
-        frontier = nxt
-    return parents, gens
-
-
 def torsion_orbit(group: FgGroup, elem: FgElement,
                   order_bound: int = DEFAULT_ORDER_BOUND) -> frozenset[tuple[int, ...]]:
     """Aut(T)-orbit of an element of a finite group, as torsion coordinate tuples."""
@@ -176,115 +78,120 @@ def torsion_orbit(group: FgGroup, elem: FgElement,
         raise ValueError("torsion_orbit needs a finite group")
     if group.order() > order_bound:
         raise BoundExceeded(f"group order {group.order()} exceeds bound {order_bound}")
-    view = _PrimaryView(group)
-    parents, _ = _orbit(view, view.to_primary(elem.torsion), track_parents=False)
-    return frozenset(view.from_primary(x) for x in parents)
+    return frozenset(x.torsion for x in group.elements()
+                     if aut_orbit_equivalent(group, elem, x))
 
 
-def _content(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
-
-
-def _torsion_part(g: FgGroup) -> FgGroup:
-    return FgGroup(0, g.torsion)
-
-
-def aut_orbit_equivalent(g: FgGroup, a: FgElement, b: FgElement,
-                         order_bound: int = DEFAULT_ORDER_BOUND) -> bool:
+def aut_orbit_equivalent(g: FgGroup, a: FgElement, b: FgElement) -> bool:
     """Decide whether some automorphism of g maps a to b."""
-    return _orbit_decision(g, a, b, want_witness=False, order_bound=order_bound) is not None
+    return _orbit_decision(g, a, b, want_witness=False) is not None
 
 
-def aut_orbit_witness(g: FgGroup, a: FgElement, b: FgElement,
-                      order_bound: int = DEFAULT_ORDER_BOUND) -> GroupHom | None:
+def aut_orbit_witness(g: FgGroup, a: FgElement, b: FgElement) -> GroupHom | None:
     """An explicit automorphism of g mapping a to b, or None."""
-    hom = _orbit_decision(g, a, b, want_witness=True, order_bound=order_bound)
+    hom = _orbit_decision(g, a, b, want_witness=True)
     if hom is not None and not (hom(a) == b and hom.is_isomorphism()):
         raise InternalError("orbit witness is not an automorphism carrying a to b")
     return hom
 
 
-def _orbit_decision(g, a, b, want_witness, order_bound):
+def _orbit_decision(g, a, b, want_witness):
     """Returns a witness hom (or True when not requested) if equivalent, else None."""
     if a.group != g or b.group != g:
         raise ValueError("elements must belong to the given group")
-    da, db = _content(a.free), _content(b.free)
-    if da != db:
+    c = gcd(*a.free)
+    if c != gcd(*b.free):
         return None
-    t_group = _torsion_part(g)
-    if t_group.order() > order_bound:
-        raise BoundExceeded(
-            f"torsion order {t_group.order()} exceeds bound {order_bound}")
-    view = _PrimaryView(t_group)
-    at = view.to_primary(a.torsion)
-    bt = view.to_primary(b.torsion)
-    parents, gens = _orbit(view, at, track_parents=want_witness)
-
-    if da == 0:
-        target = bt if bt in parents else None
-    else:
-        target = None
-        mods = tuple(gcd(da, s.modulus) for s in view.slots)
-        for x in parents:
-            if all((bx - xx) % m == 0 for bx, xx, m in zip(bt, x, mods)):
-                target = x
-                break
-    if target is None:
-        return None
+    ds = g.torsion
+    base = _coprime_base([*ds, *(gcd(c, d) for d in ds),
+                          *(gcd(x, d) for e in (a, b) for x, d in zip(e.torsion, ds))])
+    parts = []
+    for q in base:
+        lam = [_valuation(d, q) for d in ds]
+        delta = _valuation(gcd(c, ds[-1]), q)
+        (key_a, ops_a), (key_b, ops_b) = (_normalise(q, lam, delta, e.torsion) for e in (a, b))
+        if key_a != key_b:
+            return None
+        parts.append((q, lam, ops_a, ops_b))
     if not want_witness:
         return True
-    psi = _reconstruct_aut(view, parents, gens, target)
-    return _assemble_witness(g, a, b, da, view, psi, target)
+    return _assemble_witness(g, a, b, c, _torsion_witness(FgGroup(0, ds), parts))
 
 
-def _reconstruct_aut(view, parents, gens, target):
-    """Per-prime matrices of the automorphism reaching target from the start."""
-    mats = {p: _identity_mat(len(block)) for p, block in view.blocks.items()}
-    node = target
-    while parents[node] is not None:
-        prev, gi = parents[node]
-        p, _, m = gens[gi]
-        mats[p] = _mat_mul(mats[p], m)
-        node = prev
-    # walking back yields last-applied first, and M_total = M_last ... M_first,
-    # so left-to-right accumulation is already in the right order
-    return mats
+def _below(lo, hi) -> bool:
+    """(v, lam) <= (v', lam') in the order of the module docstring."""
+    return lo[0] <= hi[0] and hi[1] - hi[0] <= lo[1] - lo[0]
 
 
-def _identity_mat(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+def _normalise(q, lam, delta, coords):
+    """The sorted minimal kept pairs of coords at base element q, and the
+    elementary automorphisms of T_q that carry coords to the canonical
+    representative modulo q^delta T_q, in the order they apply."""
+    kept = {}
+    for j, (x, l) in enumerate(zip(coords, lam)):
+        if l:
+            v = _valuation(gcd(x, q ** l), q)
+            if v < min(l, delta):
+                kept[j] = (v, l)
+
+    def dominated(j):
+        # an equal pair in an earlier slot dominates too, so one copy stays
+        return any(i != j and _below(kept[i], kept[j]) and (kept[i] != kept[j] or i < j)
+                   for i in kept)
+
+    mins = [j for j in kept if not dominated(j)]
+    ops = []
+    for j, (v, l) in kept.items():
+        w = coords[j] // q ** v
+        ops.append(("scale", j, _inverse_mod(w, q ** l), w))
+    for j, (v, _) in kept.items():
+        if j not in mins:
+            i = next(i for i in mins if _below(kept[i], kept[j]))
+            ops.append(("add", j, i, -q ** (v - kept[i][0])))
+    for i in mins:
+        first = lam.index(kept[i][1])
+        if first != i:
+            ops.append(("swap", i, first))
+    return sorted(kept[i] for i in mins), ops
 
 
-def _mat_mul(a, b):
-    k = len(a)
-    return [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
+def _act(ops, vec, mods, inverse=False):
+    """Apply elementary automorphisms to a coordinate vector of T_q, or
+    their inverses in reverse order."""
+    x = list(vec)
+    for op in (reversed(ops) if inverse else ops):
+        match op:
+            case ("scale", i, u, w):
+                x[i] = x[i] * (w if inverse else u) % mods[i]
+            case ("add", i, j, c):
+                x[i] = (x[i] + (-c if inverse else c) * x[j]) % mods[i]
+            case ("swap", i, j):
+                x[i], x[j] = x[j], x[i]
+    return x
 
 
-def _torsion_hom_from_primary(view: _PrimaryView, mats) -> GroupHom:
-    """Convert per-prime coordinate matrices into a GroupHom on the torsion group."""
-    t_group = view.group
-    images = []
-    for i in range(len(t_group.torsion)):
-        start = view.to_primary(tuple(1 if j == i else 0 for j in range(len(t_group.torsion))))
-        out = [0] * len(view.slots)
-        for p, block in view.blocks.items():
-            m = mats[p]
-            vals = [start[s] for s in block]
-            for bi, s_idx in enumerate(block):
-                q = view.slots[s_idx].modulus
-                out[s_idx] = sum(m[bi][bj] * vals[bj] for bj in range(len(block))) % q
-        images.append(t_group.element((), view.from_primary(tuple(out))))
-    return GroupHom(t_group, t_group, tuple(images))
+def _torsion_witness(t_group, parts) -> GroupHom:
+    """The automorphism of T that is N'^-1 N on each part T_q, where ops_a
+    give N and ops_b give N', put together through the CRT idempotents of
+    the q^lam_i in Z/d_i."""
+    ds = t_group.torsion
+    images = [[0] * len(ds) for _ in ds]
+    for q, lam, ops_a, ops_b in parts:
+        mods = [q ** l for l in lam]
+        idem = [_idempotent(d, m) for d, m in zip(ds, mods)]
+        for j, l in enumerate(lam):
+            if l:
+                unit = [int(i == j) for i in range(len(ds))]
+                y = _act(ops_b, _act(ops_a, unit, mods), mods, inverse=True)
+                for i, yi in enumerate(y):
+                    images[j][i] += yi * idem[i]
+    return GroupHom(t_group, t_group, tuple(t_group.element((), img) for img in images))
 
 
-def _assemble_witness(g, a, b, d, view, psi_mats, psi_target):
+def _assemble_witness(g, a, b, d, psi):
     """Build the lower-triangular automorphism of Z^r (+) T sending a to b."""
     r = g.free_rank
-    t_group = view.group
-    psi = _torsion_hom_from_primary(view, psi_mats)
+    t_group = psi.domain
     if d == 0:
         m = IntMatrix.identity(r)
         w = t_group.zero()
@@ -305,10 +212,7 @@ def _assemble_witness(g, a, b, d, view, psi_mats, psi_target):
             if c % gg:
                 raise InternalError("orbit decision and witness solve disagree")
             nj = dj // gg
-            if nj == 1:
-                w_coords.append(0)
-            else:
-                w_coords.append((c // gg) * _modinv((d // gg) % nj, nj) % nj)
+            w_coords.append((c // gg) * _inverse_mod((d // gg) % nj, nj) % nj)
         w = t_group.element((), tuple(w_coords))
     images = []
     for j in range(r):

@@ -10,8 +10,11 @@ equality), and a tuple of isomorphisms whose tensor product carries the
 tensor of unit classes to the tensor of unit classes.
 
 All decisions work in canonical coordinates: once the canonical forms agree,
-the isomorphism search reduces to an automorphism search, which is exhausted
-within configurable bounds.
+the isomorphism search reduces to an automorphism search.  For one factor
+that is the closed-form Aut-orbit decision of ``automorphisms``, which has
+no bound.  Only the product search over automorphism tuples is bounded: the
+group order and candidate count of each enumeration and the size of the
+tuple space, each raising ``BoundExceeded`` past its bound.
 """
 
 from __future__ import annotations
@@ -54,8 +57,7 @@ class ClassificationVerdict:
             raise InternalError("a verdict has a witness exactly when it is positive")
 
 
-def sft_isomorphic(a: SftMatrix, b: SftMatrix,
-                   order_bound: int = DEFAULT_ORDER_BOUND) -> ClassificationVerdict:
+def sft_isomorphic(a: SftMatrix, b: SftMatrix) -> ClassificationVerdict:
     """Decide isomorphism of two SFT groupoids."""
     ia, ib = invariants(a), invariants(b)
     if ia.bf != ib.bf:
@@ -65,7 +67,7 @@ def sft_isomorphic(a: SftMatrix, b: SftMatrix,
         return ClassificationVerdict(
             False, None,
             f"determinant signs differ: {ia.det_sign} vs {ib.det_sign}")
-    hom = aut_orbit_witness(ia.bf, ia.unit, ib.unit, order_bound=order_bound)
+    hom = aut_orbit_witness(ia.bf, ia.unit, ib.unit)
     if hom is None:
         return ClassificationVerdict(
             False, None,
@@ -93,7 +95,7 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
             False, None,
             f"factor counts differ: {len(factors_a)} vs {len(factors_b)}")
     if len(factors_a) == 1:
-        return sft_isomorphic(factors_a[0], factors_b[0], order_bound=order_bound)
+        return sft_isomorphic(factors_a[0], factors_b[0])
 
     n = len(factors_a)
     data_a = [(inv, inv.det) for inv in map(invariants, factors_a)]

@@ -24,7 +24,8 @@ Tensor products need no Smith normal form: g (x) h is the direct sum of the
 pieces Z_gcd(d_i, e_j), whose canonical form is the merge above.  The
 element map sends each piece's base-b part x mod b^e to the invariant factor
 it was merged into, through the CRT idempotent of b^e there; it is built
-on first use.  The isomorphism onto the canonical form is not canonical, so
+on first use.  ``automorphisms`` decides Aut-orbits over the same kind of
+base, with the same valuations and idempotents.  The isomorphism onto the canonical form is not canonical, so
 element coordinates are meaningful only up to an automorphism.
 
 Cokernels of general matrices (``cokernel``) and kernels (``kernel_group``)
@@ -43,20 +44,6 @@ from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .intmatrix import IntMatrix, SnfResult, smith_form_mod_det, smith_normal_form
-
-
-def _factorint(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; orders here stay desk-sized."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _coprime_base(values: Iterable[int]) -> list[int]:
@@ -83,22 +70,27 @@ def _coprime_base(values: Iterable[int]) -> list[int]:
     return sorted(base)
 
 
+def _valuation(n: int, b: int) -> int:
+    """The largest e with b^e dividing n, for n != 0 and b > 1."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e
+
+
+def _idempotent(d: int, q: int) -> int:
+    """The CRT idempotent of Z/d at its coprime factor q: 1 mod q, 0 mod d/q."""
+    rest = d // q
+    return rest * pow(rest, -1, q) % d
+
+
 def _coprime_columns(vals: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
     """Per base element b of the orders > 1, the (exponent, slot) pairs with
     b^exponent exactly dividing vals[slot], in descending order."""
     distinct = {v for v in vals if v > 1}
     base = _coprime_base(distinct)
-    split: dict[int, list[tuple[int, int]]] = {}
-    for v in distinct:
-        parts, rest = [], v
-        for b in base:
-            e = 0
-            while rest % b == 0:
-                rest //= b
-                e += 1
-            if e:
-                parts.append((b, e))
-        split[v] = parts
+    split = {v: [(b, e) for b in base if (e := _valuation(v, b))] for v in distinct}
     columns: dict[int, list[tuple[int, int]]] = {}
     for slot, v in enumerate(vals):
         for b, e in split.get(v, ()):
@@ -177,13 +169,6 @@ class FgGroup:
     def orders(self) -> tuple[int, ...]:
         """Cyclic orders of the canonical generators (0 for free ones)."""
         return (0,) * self.free_rank + self.torsion
-
-    def primary_orders(self) -> tuple[int, ...]:
-        """Prime-power cyclic orders (0 for free summands)."""
-        out: list[int] = [0] * self.free_rank
-        for d in self.torsion:
-            out.extend(sorted(p ** e for p, e in _factorint(d).items()))
-        return tuple(out)
 
     def zero(self) -> "FgElement":
         return FgElement(self, (0,) * self.free_rank, (0,) * len(self.torsion))
@@ -479,15 +464,13 @@ class TensorMap:
         for coord, k in enumerate(free_slots):
             columns[k].append((coord, 1))
         # the base-b part of a piece goes to the invariant factor d at its
-        # rank, through the CRT idempotent that is 1 mod b^e and 0 mod d/b^e
+        # rank, through the CRT idempotent of b^e in Z/d
         torsion = self.group.torsion
         for b, col in _coprime_columns(vals).items():
             for r, (e, k) in enumerate(col):
                 t = len(torsion) - 1 - r
                 d = torsion[t]
-                q = b ** e
-                rest = d // q
-                columns[k].append((len(free_slots) + t, rest * pow(rest, -1, q) % d))
+                columns[k].append((len(free_slots) + t, _idempotent(d, b ** e)))
         return QuotientMap(self.group, tuple(tuple(c) for c in columns))
 
     def __call__(self, a: FgElement, b: FgElement) -> FgElement:

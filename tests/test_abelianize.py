@@ -1,6 +1,7 @@
 import random
 
 from conftest import random_factor_list, random_sft
+from orbit_oracle import primary_orders
 from groupoid_invariants.abelianize import (H0Decomposition, decompose_all,
                                             decompose_h0, extension_data,
                                             strong_ah, tfg_abelianization)
@@ -17,10 +18,7 @@ def test_decompose_h0_examples():
     assert decompose_h0(validate([[5]])) == (4,)
     assert decompose_h0(validate([[2]])) == ()
     assert decompose_h0(validate([[2, 1], [1, 2]])) == (0,)
-    assert decompose_h0(validate([[2, 1], [1, 2]]), primary=True) == (0,)
-    assert decompose_h0(validate([[7]]), primary=True) == (2, 3)
     assert decompose_h0(validate(MIXED_66)) == (6, 6)
-    assert sorted(decompose_h0(validate(MIXED_66), primary=True)) == [2, 2, 3, 3]
 
 
 def test_extension_data_two_odd_full_shifts():
@@ -110,7 +108,8 @@ def test_decomposition_independence(rng):
         factors = [rng.choice(pool) if rng.random() < 0.5 else random_sft(rng)
                    for _ in range(n)]
         a = tfg_abelianization(factors)
-        b = tfg_abelianization(factors, primary=True)
+        primary = H0Decomposition(tuple(primary_orders(decompose_h0(f)) for f in factors))
+        b = tfg_abelianization(factors, decomposition=primary)
         assert a == b, [str(f.a) for f in factors]
 
 

@@ -3,26 +3,32 @@
 The exhaustive-tuple oracle (all endomorphism image tuples, keep the ones
 whose images generate) is re-implemented here from scratch on top of element
 arithmetic only, as is the |Aut| formula for p-groups, so agreement is a real
-cross-check of the library's generator-based machinery.
+cross-check of the library's enumeration and closed-form orbit decision.  The
+orbit search over elementary automorphisms in ``orbit_oracle`` is a second,
+faster oracle for the orbit decision.
 """
 
 import random
+import time
 from itertools import product as iproduct
 from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from groupoid_invariants.automorphisms import (aut_orbit_equivalent,
                                                aut_orbit_witness,
                                                enumerate_automorphisms,
                                                torsion_orbit)
 from groupoid_invariants.errors import BoundExceeded
-from groupoid_invariants.fggroup import FgGroup, _factorint
+from groupoid_invariants.fggroup import FgGroup
+from orbit_oracle import bfs_orbit_equivalent, factorint
 
 
 def euler_phi(n):
     out = n
-    for p in _factorint(n):
+    for p in factorint(n):
         out -= out // p
     return out
 
@@ -225,3 +231,86 @@ def test_witness_maps_a_to_b():
             assert (w is not None) == aut_orbit_equivalent(group, a, b)
             if w is not None:
                 assert w(a) == b and w.is_isomorphism()
+
+
+def random_element(rng, group, free_range=4):
+    return group.element(
+        tuple(rng.randint(-free_range, free_range) for _ in range(group.free_rank)),
+        tuple(rng.randrange(d) for d in group.torsion))
+
+
+def random_image(rng, group, elem, steps=8):
+    """elem moved by random elementary automorphisms of group, in canonical
+    coordinates: unit scalings, torsion transvections x_i += c x_j with
+    d_i | c d_j, free-to-torsion shears, free transvections and sign flips."""
+    r, ds = group.free_rank, group.torsion
+    f, t = list(elem.free), list(elem.torsion)
+    for _ in range(steps):
+        kind = rng.randrange(5)
+        if kind == 0 and ds:
+            i = rng.randrange(len(ds))
+            while gcd(u := rng.randrange(1, ds[i] + 1), ds[i]) != 1:
+                pass
+            t[i] = t[i] * u % ds[i]
+        elif kind == 1 and len(ds) > 1:
+            i, j = rng.sample(range(len(ds)), 2)
+            c = ds[i] // gcd(ds[i], ds[j]) * rng.randrange(ds[i])
+            t[i] = (t[i] + c * t[j]) % ds[i]
+        elif kind == 2 and r and ds:
+            i, k = rng.randrange(len(ds)), rng.randrange(r)
+            t[i] = (t[i] + rng.randrange(ds[i]) * f[k]) % ds[i]
+        elif kind == 3 and r > 1:
+            k, l = rng.sample(range(r), 2)
+            f[k] += rng.choice((-1, 1)) * f[l]
+        elif kind == 4 and r:
+            k = rng.randrange(r)
+            f[k] = -f[k]
+    return group.element(f, t)
+
+
+composite_orders = st.lists(
+    st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 20, 24, 36, 45, 60, 72, 100]),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), composite_orders, st.integers(0, 10 ** 6))
+def test_closed_form_matches_bfs_oracle(rank, orders, seed):
+    group = FgGroup.from_orders([0] * rank + orders)
+    assume(prod(group.torsion) <= 500)
+    rng = random.Random(seed)
+    a = random_element(rng, group)
+    # a random element, one with a's free part, and an image of a
+    others = [random_element(rng, group),
+              group.element(a.free, random_element(rng, group).torsion),
+              random_image(rng, group, a)]
+    for b in others:
+        expected = bfs_orbit_equivalent(group, a, b)
+        w = aut_orbit_witness(group, a, b)
+        assert aut_orbit_equivalent(group, a, b) == (w is not None) == expected, (group, a, b)
+        if w is not None:
+            assert w(a) == b and w.is_isomorphism()
+    assert aut_orbit_equivalent(group, a, others[2])
+
+
+def test_orbits_with_large_prime_factors():
+    p, q = 10 ** 24 + 7, 10 ** 24 + 49  # primes of about 25 digits
+    rng = random.Random(82)
+    for group in (FgGroup.from_orders([p * q, p * q * q]),
+                  FgGroup.from_orders([0, p * q, p * q * q])):
+        for _ in range(5):
+            x = random_element(rng, group)
+            for a in (x, group.element(x.free, (x.torsion[0] * p, x.torsion[1] * q))):
+                b = random_image(rng, group, a)
+                t0 = time.perf_counter()
+                w = aut_orbit_witness(group, a, b)
+                assert time.perf_counter() - t0 < 1.0
+                assert w is not None and w(a) == b and w.is_isomorphism()
+    group = FgGroup.from_orders([p * q, p * q * q])
+    # equal orders, different heights at q: 1 and q, then p and pq
+    for x, y in (((1, 0), (0, q)), ((p, 0), (0, p * q))):
+        a, b = group.element((), x), group.element((), y)
+        assert a.order() == b.order()
+        t0 = time.perf_counter()
+        assert aut_orbit_witness(group, a, b) is None
+        assert time.perf_counter() - t0 < 1.0

@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
 from groupoid_invariants import cli, errors
-from groupoid_invariants.automorphisms import _modinv
 from groupoid_invariants.cli import main
+from groupoid_invariants.intmatrix import _inverse_mod
+from groupoid_invariants.sft import invariants, validate
 
 
 def run(capsys, *argv):
@@ -73,6 +75,24 @@ def test_classify(capsys):
     code, out, _ = run(capsys, "classify", '{"factors": [[[2]]]}',
                        '{"factors": [[[3]]]}')
     assert code == 1 and "not isomorphic" in out
+
+
+def test_classify_relabelled_24_vertex_matrix(capsys):
+    # a dense 24-vertex matrix has a Bowen-Franks group of order far beyond
+    # any search; the single-factor orbit decision needs no bound
+    rng = random.Random(24)
+    n = 24
+    a = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+    perm = rng.sample(range(n), n)
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            b[perm[i]][perm[j]] = a[i][j]
+    assert invariants(validate(a)).bf.order() > 10 ** 10
+    code, out, _ = run(capsys, "--format", "json", "classify",
+                       json.dumps({"factors": [a]}), json.dumps({"factors": [b]}))
+    doc = json.loads(out)
+    assert code == 0 and doc["isomorphic"] and doc["witness"]["sigma"] == [0]
 
 
 def test_morita(capsys):
@@ -155,8 +175,8 @@ def test_exit_codes_tell_verdict_input_bound_and_crash_apart(capsys, monkeypatch
 
 def test_internal_errors_are_not_input_errors(capsys, monkeypatch):
     with pytest.raises(errors.InternalError):
-        _modinv(2, 4)
-    monkeypatch.setattr(cli, "_cmd_validate", lambda args: _modinv(2, 4))
+        _inverse_mod(2, 4)
+    monkeypatch.setattr(cli, "_cmd_validate", lambda args: _inverse_mod(2, 4))
     code, _, err = run(capsys, "validate", '{"factors": [[[2]]]}')
     assert code == 4 and "InternalError" in err
 
