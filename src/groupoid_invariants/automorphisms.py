@@ -1,13 +1,17 @@
 """Automorphism groups of f.g. abelian groups and orbit decisions on elements.
 
+``aut_orbit_equivalent`` decides in closed form whether some automorphism
+maps a to b, and ``aut_orbit_witness`` builds one.  Neither is bounded: the
+work is gcds, valuations and a few elementary automorphisms per base element.
+``torsion_orbit`` lists the orbit of an element of a finite group through
+the decision; ``classify`` runs its product search over these orbits.
+
 ``enumerate_automorphisms`` exhausts Aut(T) for a finite T by running over
 all generator-image tuples (Hom(Z_d, Z_e) has gcd(d, e) elements) and keeping
 the bijective ones.  The candidate count explodes quickly, so it is guarded
 by configurable bounds and raises ``BoundExceeded`` rather than guessing.
-
-``aut_orbit_equivalent`` decides in closed form whether some automorphism
-maps a to b, and ``aut_orbit_witness`` builds one.  Neither is bounded: the
-work is gcds, valuations and a few elementary automorphisms per base element.
+No library code calls it; it is kept for the benchmark tracer, which times
+it by name, and for the brute-force oracles of the tests.
 
 Free part.  Hom(T, Z^r) = 0 makes every automorphism of Z^r (+) T lower
 triangular, (f, t) -> (M f, psi(t) + phi(f)) with phi: Z^r -> T arbitrary.
@@ -73,7 +77,8 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 
 def torsion_orbit(group: FgGroup, elem: FgElement,
                   order_bound: int = DEFAULT_ORDER_BOUND) -> frozenset[tuple[int, ...]]:
-    """Aut(T)-orbit of an element of a finite group, as torsion coordinate tuples."""
+    """Aut(T)-orbit of an element of a finite group, as torsion coordinate
+    tuples; order_bound caps the group order, since every element is tried."""
     if not group.is_finite:
         raise ValueError("torsion_orbit needs a finite group")
     if group.order() > order_bound:
@@ -231,7 +236,8 @@ def enumerate_automorphisms(t: FgGroup,
 
     Runs over all generator-image tuples compatible with the relation orders
     and keeps the surjective ones.  Raises BoundExceeded if the group order or
-    the number of candidate tuples exceeds its bound.
+    the number of candidate tuples exceeds its bound.  It has no library
+    caller: it is kept for the benchmark tracer and the oracle tests.
     """
     if not t.is_finite:
         raise BoundExceeded("automorphism enumeration needs a finite group")

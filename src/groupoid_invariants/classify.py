@@ -12,9 +12,37 @@ tensor of unit classes to the tensor of unit classes.
 All decisions work in canonical coordinates: once the canonical forms agree,
 the isomorphism search reduces to an automorphism search.  For one factor
 that is the closed-form Aut-orbit decision of ``automorphisms``, which has
-no bound.  Only the product search over automorphism tuples is bounded: the
-group order and candidate count of each enumeration and the size of the
-tuple space, each raising ``BoundExceeded`` past its bound.
+no bound.
+
+Products of finite BF groups.  Write T = BF_1 (x) ... (x) BF_n, folded from
+the left, and u_i, u'_i for the unit classes.  For a permutation sigma that
+matches (BF, det), the question is whether (x) alpha_i(u_i) = (x) u'_sigma(i)
+for some alpha_i in Aut(BF_i).  Three facts decide it without running over
+automorphism tuples:
+
+* Reduction to orbits.  (x) alpha_i(u_i) depends on alpha_i only through
+  v_i = alpha_i(u_i), and v_i runs over the whole orbit Orb(u_i) as alpha_i
+  runs over Aut(BF_i), independently for each i.  So the reachable tensors
+  are those of the tuples in Orb(u_1) x ... x Orb(u_n), and
+  ``aut_orbit_witness`` turns each v_i of a hit back into an alpha_i.
+* The prune is sound.  Tensor products are functorial, so (alpha_i) gives
+  the automorphism (x) alpha_i of T carrying (x) u_i to (x) alpha_i(u_i).
+  If (x) u'_sigma(i) is not in the Aut(T)-orbit of (x) u_i (the closed-form
+  decision on T), no tuple reaches it and sigma is skipped.
+* The deduplicated layers are exact.  With S_1 = Orb(u_1) and S_k the set of
+  s (x) v over s in S_(k-1) and v in Orb(u_k), the left fold makes the
+  tensor of v_1, ..., v_k a function of the tensor of v_1, ..., v_(k-1) and
+  of v_k alone.  So S_k is exactly the set of tensors of tuples in the first
+  k orbits, however many tuples share a value, and one back-pointer per
+  value recovers a tuple.  |S_k| is at most the order of the first k
+  factors' tensor product.
+
+The identity tuple is tried first, since it settles most positives; the
+layers are built once per call and serve every permutation.  The search is
+bounded: ``order_bound`` caps each |BF_i| whose orbit ``torsion_orbit``
+lists, and ``candidate_bound`` caps the tensor products it evaluates, the
+sum of |S_(k-1)| |Orb(u_k)|; past either, ``BoundExceeded`` states the work
+reached.  Infinite BF groups raise ``BoundExceeded`` before any search.
 """
 
 from __future__ import annotations
@@ -23,9 +51,10 @@ import itertools
 from dataclasses import dataclass
 
 from .automorphisms import (DEFAULT_CANDIDATE_BOUND, DEFAULT_ORDER_BOUND,
-                            aut_orbit_witness, enumerate_automorphisms)
+                            aut_orbit_equivalent, aut_orbit_witness,
+                            torsion_orbit)
 from .errors import BoundExceeded, InternalError
-from .fggroup import FgElement, FgGroup, GroupHom, tensor
+from .fggroup import FgElement, GroupHom, tensor
 from .sft import SftMatrix, invariants
 
 
@@ -73,8 +102,7 @@ def sft_isomorphic(a: SftMatrix, b: SftMatrix) -> ClassificationVerdict:
             False, None,
             "no isomorphism of the Bowen-Franks groups carries the unit class "
             f"({ia.unit.coords()} vs {ib.unit.coords()} in {ia.bf})")
-    if not (hom.is_isomorphism() and hom(ia.unit) == ib.unit):
-        raise InternalError("witness is not an isomorphism carrying unit to unit")
+    # aut_orbit_witness has checked that hom is an isomorphism carrying unit to unit
     return ClassificationVerdict(True, ProductWitness((0,), (hom,)), None)
 
 
@@ -109,8 +137,8 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
 
     if any(not inv.bf.is_finite for inv, _ in data_a):
         raise BoundExceeded(
-            "a factor has infinite Bowen-Franks group; the unit-tensor search "
-            "over automorphism tuples is only implemented for finite groups "
+            "a factor has infinite Bowen-Franks group; the unit-orbit search "
+            "is only implemented for finite groups "
             "(passed filters: factor counts and (BF, det) multisets match)")
 
     groups = [inv.bf for inv, _ in data_a]
@@ -128,63 +156,66 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
             out = tmap(out, e)
         return out
 
-    lhs_units = tensor_elem(units_a)
-
-    auts: dict[FgGroup, list[GroupHom]] = {}
-    total = 1
-    for g in set(groups):
-        auts[g] = list(enumerate_automorphisms(g, order_bound=order_bound,
-                                               candidate_bound=candidate_bound))
-    for g in groups:
-        total *= len(auts[g])
-        if total > candidate_bound:
-            raise BoundExceeded(
-                "automorphism tuple space exceeds the configured bound "
-                "(passed filters: factor counts and (BF, det) multisets match)")
-
-    # positions ordered by automorphism count keeps the common failure cheap
-    search_order = sorted(range(n), key=lambda i: len(auts[groups[i]]))
-
+    lhs = tensor_elem(units_a)
+    layers = None
     for sigma in itertools.permutations(range(n)):
         if any((data_a[i][0].bf, data_a[i][1]) != (data_b[sigma[i]][0].bf, data_b[sigma[i]][1])
                for i in range(n)):
             continue
-        units_b = [data_b[sigma[i]][0].unit for i in range(n)]
-        rhs = tensor_elem(units_b)
+        rhs = tensor_elem([data_b[sigma[i]][0].unit for i in range(n)])
         # identity tuple first: catches the common witness immediately
-        if tensor_elem(units_a) == rhs:
+        if lhs == rhs:
             homs = tuple(GroupHom.identity(g) for g in groups)
             return ClassificationVerdict(True, ProductWitness(sigma, homs), None)
-        found = _search_tuple(groups, units_a, rhs, auts, tensor_elem, search_order)
-        if found is not None:
-            witness = ProductWitness(sigma, found)
-            _verify_product_witness(witness, data_a, data_b, tensor_elem)
-            return ClassificationVerdict(True, witness, None)
+        if not aut_orbit_equivalent(acc, lhs, rhs):
+            continue
+        if layers is None:
+            layers = _orbit_layers(groups, units_a, maps, order_bound, candidate_bound)
+        if rhs.torsion not in layers[-1]:
+            continue
+        images = _walk_back(layers, rhs.torsion)
+        homs = tuple(aut_orbit_witness(g, u, g.element((), v))
+                     for g, u, v in zip(groups, units_a, images))
+        witness = ProductWitness(sigma, homs)
+        _verify_product_witness(witness, data_a, data_b, tensor_elem)
+        return ClassificationVerdict(True, witness, None)
     return ClassificationVerdict(
         False, None,
         "(BF, det) multisets match but no permutation admits an isomorphism "
         "tuple carrying the tensor of unit classes to the tensor of unit classes")
 
 
-def _search_tuple(groups, units_a, target, auts, tensor_elem, search_order):
-    n = len(groups)
-    chosen: list[GroupHom | None] = [None] * n
+def _orbit_layers(groups, units, maps, order_bound, candidate_bound):
+    """The layers S_1, ..., S_n of the module docstring, each a dict from the
+    torsion coordinates of a value to one (previous value, orbit element)
+    pair that reaches it; S_1 maps each orbit element to (None, itself)."""
+    orbits = [sorted(torsion_orbit(g, u, order_bound)) for g, u in zip(groups, units)]
+    layer = {v: (None, v) for v in orbits[0]}
+    layers = [layer]
+    work = 0
+    for k, (tmap, orbit) in enumerate(zip(maps, orbits[1:]), start=2):
+        work += len(layer) * len(orbit)
+        if work > candidate_bound:
+            raise BoundExceeded(
+                f"the unit-orbit search needs {work} tensor products by factor {k}, "
+                f"over the bound {candidate_bound} (passed filters: factor counts "
+                "and (BF, det) multisets match)")
+        nxt = {}
+        for s in layer:
+            for v in orbit:
+                nxt.setdefault(tmap.coords(s, v), (s, v))
+        layer = nxt
+        layers.append(layer)
+    return layers
 
-    def rec(pos):
-        if pos == len(search_order):
-            if tensor_elem([chosen[i](units_a[i]) for i in range(n)]) == target:
-                return tuple(chosen)
-            return None
-        i = search_order[pos]
-        for alpha in auts[groups[i]]:
-            chosen[i] = alpha
-            result = rec(pos + 1)
-            if result is not None:
-                return result
-        chosen[i] = None
-        return None
 
-    return rec(0)
+def _walk_back(layers, value):
+    """Orbit elements v_1, ..., v_n whose tensor is the given last-layer value."""
+    images = []
+    for layer in reversed(layers):
+        value, v = layer[value]
+        images.append(v)
+    return images[::-1]
 
 
 def _verify_product_witness(witness, data_a, data_b, tensor_elem):

@@ -257,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--aut-bound", type=int,
                    default=_env_int("GI_AUT_BOUND", DEFAULT_CANDIDATE_BOUND),
-                   help="cap on automorphism search candidates")
+                   help="cap on the tensor products that classify's unit-orbit "
+                        "search evaluates (default GI_AUT_BOUND, else %(default)s)")
     p.add_argument("--index-bound", type=int,
                    default=_env_int("GI_INDEX_BOUND", 5),
                    help="largest generator index instantiated in relation checks")

@@ -356,6 +356,12 @@ class QuotientMap:
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def __call__(self, vec: Sequence[int]) -> FgElement:
+        coords = self.reduce(vec)
+        r = self.group.free_rank
+        return FgElement(self.group, coords[:r], coords[r:])
+
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """The canonical coordinates of the image of vec, torsion reduced."""
         if len(vec) != len(self.columns):
             raise ValueError("vector length mismatch")
         acc = [0] * self.group.num_generators
@@ -363,8 +369,7 @@ class QuotientMap:
             if x:
                 for i, c in col:
                     acc[i] += x * c
-        r = self.group.free_rank
-        return self.group.element(acc[:r], acc[r:])
+        return tuple(a % d if d else a for a, d in zip(acc, self.group.orders()))
 
 
 def _projection(diag: Sequence[int], u: IntMatrix) -> tuple[FgGroup, QuotientMap]:
@@ -479,6 +484,10 @@ class TensorMap:
         ac, bc = a.coords(), b.coords()
         vec = [x * y for x in ac for y in bc]
         return self.qmap(vec)
+
+    def coords(self, ac: Sequence[int], bc: Sequence[int]) -> tuple[int, ...]:
+        """a (x) b on coordinate tuples, without building elements."""
+        return self.qmap.reduce([x * y for x in ac for y in bc])
 
 
 def tensor(g: FgGroup, h: FgGroup) -> tuple[FgGroup, TensorMap]:

@@ -1,10 +1,15 @@
+import itertools
 import random
-from math import gcd
+from collections import Counter
+from math import factorial, gcd, prod
 
 import pytest
 
-from conftest import random_sft
-from groupoid_invariants.errors import BoundExceeded, InternalError
+from conftest import WALL_MATRIX, WALL_PERMS, random_sft, relabel
+from groupoid_invariants.errors import (BoundExceeded, InternalError,
+                                        SftValidationError)
+from groupoid_invariants.automorphisms import (aut_orbit_equivalent,
+                                               torsion_orbit)
 from groupoid_invariants.classify import (ProductWitness,
                                           _verify_product_witness,
                                           product_isomorphic, sft_isomorphic,
@@ -13,6 +18,7 @@ from groupoid_invariants.fggroup import GroupHom, tensor
 from groupoid_invariants.sft import (companion_matrix, det_id_minus,
                                      invariants, thompson_factor_list,
                                      validate)
+from product_oracle import automorphisms, oracle_product_isomorphic
 
 
 def test_sft_isomorphic_examples():
@@ -165,3 +171,123 @@ def test_corrupted_product_witness_is_rejected():
                 ProductWitness(witness.sigma, (tripled,) + witness.homs[1:])):
         with pytest.raises(InternalError):
             _verify_product_witness(bad, data_a, data_b, fold)
+
+
+def test_positive_sft_verdict_checks_surjectivity_once(monkeypatch):
+    a, b = companion_matrix(5, 1), companion_matrix(5, 3)
+    invariants(a), invariants(b)
+    calls = []
+    surjective = GroupHom.is_surjective
+    monkeypatch.setattr(GroupHom, "is_surjective",
+                        lambda h: calls.append(h) or surjective(h))
+    v = sft_isomorphic(a, b)
+    assert v.isomorphic and not v.witness.is_identity()
+    assert len(calls) == 1  # the one inside aut_orbit_witness
+
+
+def _fold(groups):
+    """The left tensor fold of elements of the given groups."""
+    acc, maps = groups[0], []
+    for g in groups[1:]:
+        acc, tmap = tensor(acc, g)
+        maps.append(tmap)
+
+    def fold(elems):
+        out = elems[0]
+        for tmap, e in zip(maps, elems[1:]):
+            out = tmap(out, e)
+        return out
+    return acc, fold
+
+
+def _check_witness(fa, fb, witness):
+    data_a = [(invariants(f), det_id_minus(f)) for f in fa]
+    data_b = [(invariants(f), det_id_minus(f)) for f in fb]
+    _, fold = _fold([inv.bf for inv, _ in data_a])
+    _verify_product_witness(witness, data_a, data_b, fold)
+
+
+def _passes_prune(fa, fb) -> bool:
+    """Some admissible permutation puts the unit tensors in one Aut(T)-orbit."""
+    ia, ib = [invariants(f) for f in fa], [invariants(f) for f in fb]
+    t, fold = _fold([inv.bf for inv in ia])
+    lhs = fold([inv.unit for inv in ia])
+    return any(aut_orbit_equivalent(t, lhs, fold([ib[s].unit for s in sigma]))
+               for sigma in itertools.permutations(range(len(fa)))
+               if all((ia[i].bf, ia[i].det) == (ib[s].bf, ib[s].det)
+                      for i, s in enumerate(sigma)))
+
+
+def _sft_pool(rng, draws):
+    """BF -> det -> least unit-orbit element -> rows, for random 2-4-vertex
+    SFTs with entries 0-3 and finite nontrivial BF."""
+    pool = {}
+    for _ in range(draws):
+        n = rng.randint(2, 4)
+        rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            inv = invariants(validate(rows))
+        except SftValidationError:
+            continue
+        if inv.bf.is_finite and inv.bf.torsion:
+            cls = min(torsion_orbit(inv.bf, inv.unit))
+            pool.setdefault(inv.bf, {}).setdefault(inv.det, {}).setdefault(cls, []).append(rows)
+    return pool
+
+
+def test_product_isomorphic_matches_tuple_oracle():
+    # Pairs are relabelled and shuffled copies (always positive), or factors
+    # drawn unit orbit by unit orbit from groups with mixed exponents at a
+    # prime, where unit tensors of one Aut(T)-orbit can lie in different
+    # orbits of the automorphism tuples.  Pairs are kept by the path that
+    # decides them until each path has its quota.
+    rng = random.Random(8)
+    pool = _sft_pool(rng, 2000)
+    groups = sorted(pool, key=lambda g: g.torsion)
+    mixed = [g for g in groups
+             if any(gcd(d, e // d) > 1 for d, e in zip(g.torsion, g.torsion[1:]))]
+    quota = {"positive, identity": 8, "positive, not identity": 20,
+             "negative, pruned": 8, "negative, layered search": 10}
+    kept = Counter()
+    for _ in range(3000):
+        if kept == quota:
+            break
+        relabelled = rng.random() < 0.3
+        g = rng.choice(groups if relabelled else mixed)
+        dets = [rng.choice(sorted(pool[g])) for _ in range(rng.choice((2, 3)))]
+        # the oracle visits prod |Aut| tuples per admissible permutation
+        if len(automorphisms(g)) ** len(dets) \
+                * prod(factorial(c) for c in Counter(dets).values()) > 3000:
+            continue
+        rows_a = [rng.choice(rng.choice(list(pool[g][d].values()))) for d in dets]
+        if relabelled:
+            rows_b = [relabel(r, rng.sample(range(len(r)), len(r))) for r in rows_a]
+        else:
+            rows_b = [rng.choice(rng.choice(list(pool[g][d].values()))) for d in dets]
+        rng.shuffle(rows_b)
+        fa, fb = [validate(r) for r in rows_a], [validate(r) for r in rows_b]
+        v = product_isomorphic(fa, fb)
+        if v.isomorphic:
+            path = "positive, " + ("identity" if v.witness.is_identity() else "not identity")
+        else:
+            path = "negative, " + ("layered search" if _passes_prune(fa, fb) else "pruned")
+        if kept[path] == quota[path]:
+            continue
+        kept[path] += 1
+        expected = oracle_product_isomorphic(fa, fb)
+        assert v.isomorphic == (expected is not None), (rows_a, rows_b)
+        if v.isomorphic:
+            _check_witness(fa, fb, v.witness)
+    assert kept == quota
+
+
+def test_product_search_past_the_automorphism_tuple_wall():
+    # the tuple search met 6720^2 tuples here and raised BoundExceeded
+    p, q = WALL_PERMS
+    fa = [validate(WALL_MATRIX), validate(relabel(WALL_MATRIX, q))]
+    fb = [validate(relabel(WALL_MATRIX, p)), validate(WALL_MATRIX)]
+    inv = invariants(fa[0])
+    assert inv.bf.torsion == (2, 2, 82) and inv.det == -328
+    v = product_isomorphic(fa, fb)
+    assert v.isomorphic and not v.witness.is_identity()
+    _check_witness(fa, fb, v.witness)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import WALL_MATRIX, WALL_PERMS, relabel
 from groupoid_invariants import cli, errors
 from groupoid_invariants.cli import main
 from groupoid_invariants.intmatrix import _inverse_mod
@@ -93,6 +94,28 @@ def test_classify_relabelled_24_vertex_matrix(capsys):
                        json.dumps({"factors": [a]}), json.dumps({"factors": [b]}))
     doc = json.loads(out)
     assert code == 0 and doc["isomorphic"] and doc["witness"]["sigma"] == [0]
+
+
+def test_classify_past_the_automorphism_tuple_wall(capsys):
+    # |Aut(BF)| = 6720 per factor: a search over automorphism tuples exits 3
+    p, q = WALL_PERMS
+    doc_a = json.dumps({"factors": [WALL_MATRIX, relabel(WALL_MATRIX, q)]})
+    doc_b = json.dumps({"factors": [relabel(WALL_MATRIX, p), WALL_MATRIX]})
+    code, out, _ = run(capsys, "--format", "json", "classify", doc_a, doc_b)
+    doc = json.loads(out)
+    assert code == 0 and doc["isomorphic"]
+    assert not doc["witness"]["identity"] and len(doc["witness"]["homs"]) == 2
+
+
+def test_tiny_aut_bound_exits_bound_with_the_work_reached(capsys):
+    # units 1 (x) 1 against 3 (x) 1 in Z/4 (x) Z/4: the layered search
+    # evaluates |Orb(1)| * |Orb(1)| = 4 tensor products
+    doc_a = '{"factors": [[[5]], [[5]]]}'
+    doc_b = '{"factors": [[[0,0,5],[1,0,0],[0,1,0]], [[5]]]}'
+    assert run(capsys, "classify", doc_a, doc_b)[0] == 0
+    code, out, err = run(capsys, "--aut-bound", "3", "classify", doc_a, doc_b)
+    assert code == 3 and out == ""
+    assert "needs 4 tensor products" in err and "bound 3" in err
 
 
 def test_morita(capsys):
