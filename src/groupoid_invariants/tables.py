@@ -11,14 +11,18 @@ index beyond the bound translate by the offset.
 Every generator of W_{n,k} has this shape and the shape is closed under
 composition and inverse, so equality of group words is decidable with finite
 data.  Well-formedness (source and target bricks each partition their index
-range, checked with exact rational masses) is enforced on construction.
+range) is enforced on construction: per index, an overlap search over the
+bricks sorted by their words, coordinate by coordinate, and an integer mass
+sum over a common refinement depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
+from math import prod
+from operator import itemgetter, sub
 
 from .errors import BoundExceeded, IncompatibleParameters, InternalError, ParseError
 
@@ -35,12 +39,6 @@ class Brick:
     def extend(self, tails) -> "Brick":
         return Brick(tuple(w + t for w, t in zip(self.words, tails)), self.index)
 
-    def mass(self, arities) -> Fraction:
-        m = Fraction(1)
-        for w, k in zip(self.words, arities):
-            m /= Fraction(k) ** len(w)
-        return m
-
 
 def _is_prefix(a, b) -> bool:
     return len(a) <= len(b) and b[:len(a)] == a
@@ -48,6 +46,67 @@ def _is_prefix(a, b) -> bool:
 
 def _empty_words(n):
     return ((),) * n
+
+
+def _overlap(group, d) -> bool:
+    """True iff two of the word tuples in group, which agree in every
+    coordinate before d, are prefix-comparable in every coordinate from d on.
+
+    Sorted on coordinate d, the words extending a word u follow the copies of
+    u in one run, so each u is compared in the later coordinates with its
+    copies and with that run only.
+    """
+    if d == len(group[0]):
+        return True
+    group = sorted(group, key=itemgetter(d))
+    ws = [b[d] for b in group]
+    i, m = 0, len(ws)
+    while i < m:
+        u = ws[i]
+        j = i + 1
+        while j < m and ws[j] == u:
+            j += 1
+        if j == m:
+            return j - i > 1 and _overlap(group[i:], d + 1)
+        if ws[j][:len(u)] == u:
+            k = j + 1
+            while k < m and ws[k][:len(u)] == u:
+                k += 1
+            if _cross(group[i:j], group[j:k], d + 1):
+                return True
+        if j - i > 1 and _overlap(group[i:j], d + 1):
+            return True
+        i = j
+    return False
+
+
+def _cross(reds, blues, d) -> bool:
+    """True iff some word tuple in reds and some in blues are prefix-comparable
+    in every coordinate from d on; the same run argument as ``_overlap``."""
+    if d == len(reds[0]):
+        return True
+    items = sorted([(r[d], 0, r) for r in reds] + [(b[d], 1, b) for b in blues],
+                   key=itemgetter(0))
+    i, m = 0, len(items)
+    while i < m:
+        u = items[i][0]
+        j = i + 1
+        while j < m and items[j][0] == u:
+            j += 1
+        k = j
+        while k < m and items[k][0][:len(u)] == u:
+            k += 1
+        # (reds, blues) with word u, and with a word that extends u
+        here, below = ([], []), ([], [])
+        for t in range(i, k):
+            _, colour, words = items[t]
+            (here if t < j else below)[colour].append(words)
+        if here[0] and (here[1] or below[1]) and _cross(here[0], here[1] + below[1], d + 1):
+            return True
+        if here[1] and below[0] and _cross(below[0], here[1], d + 1):
+            return True
+        i = j
+    return False
 
 
 @dataclass(frozen=True)
@@ -65,36 +124,65 @@ class TableElement:
             raise ValueError("all arities must be >= 2")
         if self.bound < 0 or self.bound + self.offset < 0:
             raise ValueError("bound and bound+offset must be nonnegative")
-        for src, dst in self.table:
-            for brick in (src, dst):
-                if len(brick.words) != n:
-                    raise ValueError("brick dimension mismatch")
-                for w, k in zip(brick.words, self.arities):
+        empty = _empty_words(n)
+        for brick in chain.from_iterable(self.table):
+            words = brick.words
+            if words == empty:
+                continue
+            if len(words) != n:
+                raise ValueError("brick dimension mismatch")
+            for w, k in zip(words, self.arities):
+                if w:
                     if len(w) > MAX_WORD_DEPTH:
                         raise BoundExceeded("brick word exceeds refinement depth cap")
-                    if any(not 0 <= a < k for a in w):
+                    if min(w) < 0 or max(w) >= k:
                         raise ValueError("letter outside alphabet")
         self._check_partition([s for s, _ in self.table], self.bound, "source")
         self._check_partition([t for _, t in self.table], self.bound + self.offset, "target")
 
     def _check_partition(self, bricks, top, side):
-        by_index: dict[int, list[Brick]] = {}
+        """Raise ValueError unless the bricks partition Z x {1, ..., top}.
+
+        Per index j, with L_d the deepest word of coordinate d among the
+        bricks at j, a brick of words w has measure prod_d k_d^(L_d - |w_d|)
+        in units of prod_d k_d^-L_d, so the masses are summed as integers
+        and compared with prod_d k_d^L_d.  Two bricks meet iff their words
+        are prefix-comparable in every coordinate, which ``_overlap``
+        decides.  A partition is pairwise disjoint with mass 1.  Conversely,
+        pairwise disjoint bricks of mass 1 partition Z: their union is a
+        finite union of clopen cylinders of full measure, so its complement
+        is clopen of measure zero, hence empty.
+        """
+        by_index: dict[int, list] = {}
         for b in bricks:
             if not 1 <= b.index <= top:
                 raise ValueError(f"{side} brick index {b.index} outside 1..{top}")
-            by_index.setdefault(b.index, []).append(b)
-        if set(by_index) != set(range(1, top + 1)):
+            by_index.setdefault(b.index, []).append(b.words)
+        if len(by_index) != top:
             raise ValueError(f"{side} bricks do not touch every index in 1..{top}")
-        for j, bs in by_index.items():
-            total = Fraction(0)
-            for i, b in enumerate(bs):
-                total += b.mass(self.arities)
-                for c in bs[i + 1:]:
-                    if all(_is_prefix(x, y) or _is_prefix(y, x)
-                           for x, y in zip(b.words, c.words)):
-                        raise ValueError(f"overlapping {side} bricks at index {j}")
-            if total != 1:
-                raise ValueError(f"{side} bricks at index {j} have mass {total} != 1")
+        arities = self.arities
+        empty = _empty_words(len(arities))
+        for j, group in by_index.items():
+            if len(group) == 1 and group[0] == empty:
+                continue
+            lengths = [set(map(len, ws)) for ws in zip(*group)]   # per coordinate
+            depths = list(map(max, lengths))
+            if max(map(len, lengths), default=1) == 1:
+                # one length per coordinate: words are prefix-comparable iff
+                # equal, and every brick has mass prod_d k_d^-L_d
+                if len(set(group)) < len(group):
+                    raise ValueError(f"overlapping {side} bricks at index {j}")
+                total = len(group)
+            else:
+                if _overlap(group, 0):
+                    raise ValueError(f"overlapping {side} bricks at index {j}")
+                total = 0
+                for ws in group:
+                    total += prod(map(pow, arities, map(sub, depths, map(len, ws))))
+            whole = prod(map(pow, arities, depths))
+            if total != whole:
+                raise ValueError(f"{side} bricks at index {j} have mass "
+                                 f"{Fraction(total, whole)} != 1")
 
     @property
     def dimension(self) -> int:
@@ -102,15 +190,21 @@ class TableElement:
 
     def apply(self, words, index: int):
         """Image of the point (words..., index); words must be long enough to
-        select a unique source brick."""
+        select a unique source brick.  ValueError for a wrong number of
+        coordinates, an index below 1 or a letter outside its alphabet."""
+        words = tuple(tuple(w) for w in words)
+        if len(words) != self.dimension:
+            raise ValueError(f"point has {len(words)} coordinates, not {self.dimension}")
+        if index < 1:
+            raise ValueError(f"point index {index} is below 1")
+        for w, k in zip(words, self.arities):
+            if w and (min(w) < 0 or max(w) >= k):
+                raise ValueError("point letter outside alphabet")
         if index > self.bound:
-            return tuple(tuple(w) for w in words), index + self.offset
+            return words, index + self.offset
         for src, dst in self.table:
-            if src.index != index:
-                continue
-            if all(_is_prefix(sw, tuple(w)) for sw, w in zip(src.words, words)):
-                tails = tuple(tuple(w)[len(sw):] for sw, w in zip(src.words, words))
-                out = dst.extend(tails)
+            if src.index == index and all(_is_prefix(sw, w) for sw, w in zip(src.words, words)):
+                out = dst.extend(w[len(sw):] for sw, w in zip(src.words, words))
                 return out.words, out.index
         raise ValueError("point words too short to select a source brick")
 

@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupoid_invariants.errors import IncompatibleParameters
-from groupoid_invariants.tables import (Brick, TableElement, alpha_element,
-                                        alpha_parity, alpha_word, baker,
+from groupoid_invariants.errors import BoundExceeded, IncompatibleParameters
+from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, TableElement,
+                                        alpha_element, alpha_parity, alpha_word, baker,
                                         compose, compose_all, equal, gen_s,
                                         gen_tau, identity, inverse,
                                         permutation_element, tau_tilde,
                                         verify_relations)
+
+from table_oracle import oracle_check
 
 
 def test_gen_tau_action():
@@ -45,6 +49,137 @@ def test_wellformedness_rejected():
     with pytest.raises(ValueError):
         # mass 1/2 missing
         TableElement((2,), 1, 0, ((Brick(((0,),), 1), Brick(((),), 1)),))
+
+
+def _bricks_at_one(arities, *words):
+    """The element pairing each brick (words..., 1) with itself."""
+    return TableElement(arities, 1, 0, tuple((Brick(w, 1), Brick(w, 1)) for w in words))
+
+
+def test_wellformedness_in_several_coordinates():
+    # partitions whose bricks are comparable in coordinate 1 and disjoint only
+    # through coordinate 2 or 3 are accepted
+    _bricks_at_one((2, 3), ((), (0,)), ((), (1,)), ((), (2,)))
+    _bricks_at_one((2, 2), ((), (0,)), ((0,), (1,)), ((1,), (1,)))
+    _bricks_at_one((2, 2, 2), ((), (), (0,)), ((0,), (), (1,)),
+                   ((1,), (0,), (1,)), ((1,), (1,), (1,)))
+    # every coordinate leaves some brick uncut, so no single cut separates
+    # the bricks; they still partition the cube
+    _bricks_at_one((2, 2, 2), ((), (0,), (0,)), ((0,), (), (1,)), ((1,), (1,), ()),
+                   ((0,), (1,), (0,)), ((1,), (0,), (1,)))
+    # mass exactly 1, but the first two bricks overlap in every coordinate
+    # and ((0,), (1,)) is not covered
+    with pytest.raises(ValueError, match="overlapping source bricks at index 1"):
+        _bricks_at_one((2, 2), ((), (0,)), ((0,), (0,)), ((1,), (1,)))
+    with pytest.raises(ValueError, match="overlapping source bricks at index 1"):
+        _bricks_at_one((2, 2, 2), ((), (), (0,)), ((0,), (0,), (0,)),
+                       ((0,), (), (1,)), ((1,), (0,), (1,)))
+    # disjoint bricks of mass 1/2 + 1/6: a deficit
+    with pytest.raises(ValueError, match="mass 2/3 != 1"):
+        _bricks_at_one((2, 3), ((0,), ()), ((1,), (0,)))
+    # mass 1 + 1/4: an excess forces an overlap, which is reported first
+    with pytest.raises(ValueError, match="overlapping source bricks"):
+        _bricks_at_one((2, 2), ((), (0,)), ((), (1,)), ((0,), (0, 1)))
+    empty = ((), ())
+    with pytest.raises(ValueError, match="source brick index 3 outside 1..2"):
+        TableElement((2, 2), 2, 0, ((Brick(empty, 1), Brick(empty, 1)),
+                                    (Brick(empty, 3), Brick(empty, 2))))
+    with pytest.raises(ValueError, match="target bricks do not touch every index in 1..2"):
+        TableElement((2, 2), 2, 0, ((Brick(empty, 1), Brick(empty, 1)),
+                                    (Brick(empty, 2), Brick(empty, 1))))
+    with pytest.raises(ValueError, match="letter outside alphabet"):
+        _bricks_at_one((2, 3), ((0,), (3,)), ((1,), ()))
+    with pytest.raises(BoundExceeded):
+        _bricks_at_one((2, 2), ((0,) * (MAX_WORD_DEPTH + 1), ()), ((1,), ()))
+
+
+def _split(rng, bricks, arities, d):
+    """Replace a random brick by its k(d) children in coordinate d."""
+    words, j = bricks.pop(rng.randrange(len(bricks)))
+    for a in range(arities[d]):
+        bricks.append((words[:d] + (words[d] + (a,),) + words[d + 1:], j))
+
+
+def _random_table(rng):
+    """Arguments of a random element: independent refinements of the source
+    and target index ranges with equally many bricks, then corruptions."""
+    n = rng.randint(1, 3)
+    arities = tuple(rng.randint(2, 5) for _ in range(n))
+    empty = ((),) * n
+    bound = rng.randint(1, 4)
+    src = [(empty, j) for j in range(1, bound + 1)]
+    for _ in range(rng.randint(0, 6)):
+        _split(rng, src, arities, rng.randrange(n))
+    top = rng.randint(1, min(4, len(src)))
+    dst = [(empty, j) for j in range(1, top + 1)]
+    for _ in range(rng.randint(0, 6)):
+        d = rng.randrange(n)
+        if len(dst) + arities[d] - 1 <= len(src):
+            _split(rng, dst, arities, d)
+    while len(dst) < len(src):
+        top += 1
+        dst.append((empty, top))
+    rng.shuffle(dst)
+    table = [[src[i], dst[i]] for i in range(len(src))]
+    tops = (bound, top)
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        i, side = rng.randrange(len(table)), rng.randrange(2)
+        words, j = table[i][side]
+        kind = rng.choice(("drop", "duplicate", "copy", "shorten", "extend",
+                           "deepen", "move", "move out"))
+        d = rng.randrange(n)
+        if kind == "drop" and len(table) > 1:
+            table.pop(i)
+        elif kind == "duplicate":
+            table.append(list(table[i]))
+        elif kind == "copy":
+            table[rng.randrange(len(table))][side] = (words, j)
+        elif kind == "shorten" and words[d]:
+            table[i][side] = (words[:d] + (words[d][:-1],) + words[d + 1:], j)
+        elif kind == "extend":
+            # one letter in k(d) + 1 is outside the alphabet
+            w = words[d] + (rng.randrange(arities[d] + 1),)
+            table[i][side] = (words[:d] + (w,) + words[d + 1:], j)
+        elif kind == "deepen":
+            w = words[d] + (0,) * (MAX_WORD_DEPTH + 1 - len(words[d]))
+            table[i][side] = (words[:d] + (w,) + words[d + 1:], j)
+        elif kind == "move":
+            table[i][side] = (words, rng.randint(1, tops[side]))
+        elif kind == "move out":
+            table[i][side] = (words, rng.choice((0, tops[side] + 1)))
+    return arities, bound, top - bound, tuple(
+        (Brick(*s), Brick(*t)) for s, t in table)
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, BoundExceeded) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_wellformedness_matches_pairwise_oracle(seed):
+    args = _random_table(random.Random(seed))
+    assert _verdict(TableElement, *args) == _verdict(oracle_check, *args)
+
+
+def test_apply_rejects_malformed_points():
+    s = gen_s(1, 1, (2, 2))
+    with pytest.raises(ValueError, match="coordinates"):
+        s.apply(((0, 1),), 1)
+    with pytest.raises(ValueError, match="coordinates"):
+        s.apply(((), (), ()), 3)
+    with pytest.raises(ValueError, match="index 0"):
+        s.apply(((0,), ()), 0)
+    with pytest.raises(ValueError, match="alphabet"):
+        s.apply(((2,), ()), 1)
+    with pytest.raises(ValueError, match="alphabet"):
+        s.apply(((), (0, -1)), 3)
+    with pytest.raises(ValueError, match="too short"):
+        s.apply(((), (1,)), 1)
 
 
 def test_compose_inverse_equal():
