@@ -165,20 +165,12 @@ class TableElement:
         for j, group in by_index.items():
             if len(group) == 1 and group[0] == empty:
                 continue
-            lengths = [set(map(len, ws)) for ws in zip(*group)]   # per coordinate
-            depths = list(map(max, lengths))
-            if max(map(len, lengths), default=1) == 1:
-                # one length per coordinate: words are prefix-comparable iff
-                # equal, and every brick has mass prod_d k_d^-L_d
-                if len(set(group)) < len(group):
-                    raise ValueError(f"overlapping {side} bricks at index {j}")
-                total = len(group)
-            else:
-                if _overlap(group, 0):
-                    raise ValueError(f"overlapping {side} bricks at index {j}")
-                total = 0
-                for ws in group:
-                    total += prod(map(pow, arities, map(sub, depths, map(len, ws))))
+            if _overlap(group, 0):
+                raise ValueError(f"overlapping {side} bricks at index {j}")
+            depths = [max(map(len, ws)) for ws in zip(*group)]   # per coordinate
+            total = 0
+            for ws in group:
+                total += prod(map(pow, arities, map(sub, depths, map(len, ws))))
             whole = prod(map(pow, arities, depths))
             if total != whole:
                 raise ValueError(f"{side} bricks at index {j} have mass "
