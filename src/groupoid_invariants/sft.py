@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 from . import errors
 from .fggroup import FgElement, FgGroup, cokernel_and_kernel, direct_sum, tensor
@@ -64,19 +65,33 @@ def validate(a, factor_index: int | None = None) -> SftMatrix:
 
 
 def _irreducible(m: IntMatrix) -> bool:
-    # every ordered vertex pair must be joined by a path of length >= 1;
-    # Warshall closure seeded with the edges computes exactly that
+    # every ordered vertex pair must be joined by a path of length >= 1: for
+    # n > 1 that holds iff every vertex is reached from vertex 0 and reaches
+    # it, and for n = 1 iff the vertex carries a loop
     n = m.rows
-    reach = [[m[i, j] > 0 for j in range(n)] for i in range(n)]
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return all(reach[i][j] for i in range(n) for j in range(n))
+    if n == 1:
+        return m[0, 0] > 0
+    succ = [[j for j, x in enumerate(m.row(i)) if x] for i in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    return len(_reach(succ)) == n and len(_reach(pred)) == n
+
+
+def _reach(adj) -> dict[int, int]:
+    """Breadth-first levels from vertex 0 along the adjacency lists adj."""
+    level = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return level
 
 
 def _is_permutation(m: IntMatrix) -> bool:
@@ -135,18 +150,21 @@ def det_id_minus(a: SftMatrix) -> int:
 def is_primitive(a: SftMatrix) -> bool:
     """True iff some power of A is entrywise positive.
 
-    By Wielandt's bound it is enough to look at exponents up to
-    (N-1)^2 + 1, and support arithmetic avoids big-integer growth.
+    A is irreducible, so that holds iff its period is 1.  The period is the
+    gcd over the edges (u, v) of level(u) + 1 - level(v), with breadth-first
+    levels from vertex 0.  The levels telescope, so the length of a cycle is
+    the sum of its edges' terms; and each term is the difference of the
+    lengths of two closed walks through vertex 0 (via u and v, and via v),
+    so the period divides it.
     """
     n = a.size
-    base = [[a.a[i, j] > 0 for j in range(n)] for i in range(n)]
-    power = [row[:] for row in base]
-    for _ in range((n - 1) ** 2 + 1):
-        if all(all(row) for row in power):
-            return True
-        power = [[any(power[i][k] and base[k][j] for k in range(n))
-                  for j in range(n)] for i in range(n)]
-    return False
+    succ = [[j for j, x in enumerate(a.a.row(i)) if x] for i in range(n)]
+    level = _reach(succ)
+    period = 0
+    for u in range(n):
+        for v in succ[u]:
+            period = gcd(period, level[u] + 1 - level[v])
+    return period == 1
 
 
 def sft_abelianization(a: SftMatrix) -> FgGroup:

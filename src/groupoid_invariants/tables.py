@@ -13,31 +13,41 @@ composition and inverse, so equality of group words is decidable with finite
 data.  Well-formedness (source and target bricks each partition their index
 range) is enforced on construction: per index, an overlap search over the
 bricks sorted by their words, coordinate by coordinate, and an integer mass
-sum over a common refinement depth.
+sum over a common refinement depth.  ``inverse`` alone skips the check: its
+table is f's with sides swapped, which meets exactly the predicates f met.
+``compose`` output is checked, and that check is an independent test of
+``compose``.
+
+``compose(f, g)`` matches each entry (src, mid) of g against f's entries at
+mid's index.  Two cases need no prefix tests: when mid's words are all
+empty, every f entry (fsrc, fdst) there gives (src + fsrc's words, fdst);
+when f has a single source brick of empty words there, mid's words are
+appended to its target.  Other indices test every pair of entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, product as iproduct
 from math import prod
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
+from typing import NamedTuple
 
 from .errors import BoundExceeded, IncompatibleParameters, InternalError, ParseError
 
 MAX_WORD_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class Brick:
+class Brick(NamedTuple):
     """Product cylinder at one index: one finite word per coordinate."""
 
     words: tuple[tuple[int, ...], ...]
     index: int
 
     def extend(self, tails) -> "Brick":
-        return Brick(tuple(w + t for w, t in zip(self.words, tails)), self.index)
+        return Brick(tuple(map(add, self.words, tails)), self.index)
 
 
 def _is_prefix(a, b) -> bool:
@@ -140,6 +150,16 @@ class TableElement:
         self._check_partition([s for s, _ in self.table], self.bound, "source")
         self._check_partition([t for _, t in self.table], self.bound + self.offset, "target")
 
+    @classmethod
+    def _unchecked(cls, arities, bound, offset, table) -> "TableElement":
+        """Build without ``__post_init__``; only for data that met every
+        predicate of the check in another element (see ``inverse``)."""
+        self = object.__new__(cls)
+        for name, value in (("arities", arities), ("bound", bound),
+                            ("offset", offset), ("table", table)):
+            object.__setattr__(self, name, value)
+        return self
+
     def _check_partition(self, bricks, top, side):
         """Raise ValueError unless the bricks partition Z x {1, ..., top}.
 
@@ -233,34 +253,49 @@ def compose(f: TableElement, g: TableElement) -> TableElement:
         raise IncompatibleParameters("arity data mismatch")
     bound = max(g.bound, f.bound - g.offset, 0)
     out = []
+    empty = _empty_words(f.dimension)
     f_by_index: dict[int, list[tuple[Brick, Brick]]] = {}
     for ent in f.table:
         f_by_index.setdefault(ent[0].index, []).append(ent)
+    # f's target for indices that hold one source brick of empty words
+    lone = {j: ents[0][1] for j, ents in f_by_index.items()
+            if len(ents) == 1 and ents[0][0].words == empty}
     for src, mid in _lifted_entries(g, bound):
-        if mid.index > f.bound:
-            out.append((src, Brick(mid.words, mid.index + f.offset)))
-            continue
-        for fsrc, fdst in f_by_index.get(mid.index, ()):
-            src_tails, dst_tails = [], []
-            compatible = True
-            for wm, wf in zip(mid.words, fsrc.words):
-                if _is_prefix(wm, wf):
-                    src_tails.append(wf[len(wm):])
-                    dst_tails.append(())
-                elif _is_prefix(wf, wm):
-                    src_tails.append(())
-                    dst_tails.append(wm[len(wf):])
+        j = mid.index
+        if j > f.bound:
+            out.append((src, Brick(mid.words, j + f.offset)))
+        elif mid.words == empty:
+            # every f entry at j lies inside mid: prefix its words to src
+            out.extend((src.extend(fsrc.words), fdst) for fsrc, fdst in f_by_index[j])
+        elif j in lone:
+            # mid lies inside f's only entry at j: append its words to f's target
+            fdst = lone[j]
+            out.append((src, Brick(tuple(map(add, fdst.words, mid.words)), fdst.index)))
+        else:
+            for fsrc, fdst in f_by_index[j]:
+                src_tails, dst_tails = [], []
+                for wm, wf in zip(mid.words, fsrc.words):
+                    # b[:len(a)] == a iff a is a prefix of b
+                    if wf[:len(wm)] == wm:
+                        src_tails.append(wf[len(wm):])
+                        dst_tails.append(())
+                    elif wm[:len(wf)] == wf:
+                        src_tails.append(())
+                        dst_tails.append(wm[len(wf):])
+                    else:
+                        break
                 else:
-                    compatible = False
-                    break
-            if compatible:
-                out.append((src.extend(src_tails), fdst.extend(dst_tails)))
+                    out.append((src.extend(src_tails), fdst.extend(dst_tails)))
     return TableElement(f.arities, bound, f.offset + g.offset, tuple(out))
 
 
 def inverse(f: TableElement) -> TableElement:
-    return TableElement(f.arities, f.bound + f.offset, -f.offset,
-                        tuple((t, s) for s, t in f.table))
+    """The inverse table: sources and targets swapped.  It is not checked
+    again: its sources are f's targets under the top bound + offset, its
+    targets are f's sources under the top bound, and its bricks, letters and
+    depths are f's, so it meets exactly the predicates f met."""
+    return TableElement._unchecked(f.arities, f.bound + f.offset, -f.offset,
+                                   tuple((t, s) for s, t in f.table))
 
 
 def equal(f: TableElement, g: TableElement) -> bool:
@@ -445,6 +480,9 @@ def verify_relations(n: int, k, index_bound: int) -> RelationReport:
         if not equal(lhs, rhs):
             failures.append(f"{name}{inst}")
 
+    # each generator is built, and checked, once per call
+    s = cache(lambda i, d: gen_s(i, d, arities))
+    tau = cache(lambda i: gen_tau(i, arities))
     dims = range(1, n + 1)
     for d in dims:
         kd = arities[d - 1]
@@ -452,45 +490,44 @@ def verify_relations(n: int, k, index_bound: int) -> RelationReport:
             for i in range(1, index_bound + 1):
                 for j in range(i + 1, index_bound + 1):
                     expect("commute_s", (i, j, d, dp),
-                           compose(gen_s(i, d, arities), gen_s(j, dp, arities)),
-                           compose(gen_s(j + kd - 1, dp, arities), gen_s(i, d, arities)))
+                           compose(s(i, d), s(j, dp)),
+                           compose(s(j + kd - 1, dp), s(i, d)))
     for i in range(1, index_bound + 1):
-        ti = gen_tau(i, arities)
+        ti = tau(i)
         expect("tau_involution", (i,), compose(ti, ti), identity(arities))
         expect("tau_braid", (i,),
-               compose_all([ti, gen_tau(i + 1, arities), ti]),
-               compose_all([gen_tau(i + 1, arities), ti, gen_tau(i + 1, arities)]))
+               compose_all([ti, tau(i + 1), ti]),
+               compose_all([tau(i + 1), ti, tau(i + 1)]))
         for j in range(1, index_bound + 1):
             if abs(i - j) >= 2:
                 expect("tau_commute", (i, j),
-                       compose(ti, gen_tau(j, arities)),
-                       compose(gen_tau(j, arities), ti))
+                       compose(ti, tau(j)),
+                       compose(tau(j), ti))
     for d in dims:
         kd = arities[d - 1]
         for i in range(1, index_bound + 1):
             expect("split_shift", (i, d),
-                   compose(gen_s(i, d, arities), gen_tau(i, arities)),
-                   compose(tau_tilde(i, d, arities), gen_s(i + 1, d, arities)))
+                   compose(s(i, d), tau(i)),
+                   compose(tau_tilde(i, d, arities), s(i + 1, d)))
             for j in range(1, index_bound + 1):
                 if i < j:
                     expect("s_tau_above", (i, j, d),
-                           compose(gen_s(i, d, arities), gen_tau(j, arities)),
-                           compose(gen_tau(j + kd - 1, arities), gen_s(i, d, arities)))
+                           compose(s(i, d), tau(j)),
+                           compose(tau(j + kd - 1), s(i, d)))
                 elif i > j + 1:
                     expect("s_tau_below", (i, j, d),
-                           compose(gen_s(i, d, arities), gen_tau(j, arities)),
-                           compose(gen_tau(j, arities), gen_s(i, d, arities)))
+                           compose(s(i, d), tau(j)),
+                           compose(tau(j), s(i, d)))
     for d in dims:
         for dp in dims:
             if d == dp:
                 continue
             kd, kdp = arities[d - 1], arities[dp - 1]
             for i in range(1, index_bound + 1):
-                lhs = compose_all([gen_s(i + t, dp, arities) for t in range(kd)]
-                                  + [gen_s(i, d, arities)])
+                lhs = compose_all([s(i + t, dp) for t in range(kd)] + [s(i, d)])
                 rhs = compose_all([alpha_element(i, d, dp, arities)]
-                                  + [gen_s(i + t, d, arities) for t in range(kdp)]
-                                  + [gen_s(i, dp, arities)])
+                                  + [s(i + t, d) for t in range(kdp)]
+                                  + [s(i, dp)])
                 expect("grid", (i, d, dp), lhs, rhs)
     return RelationReport(checked, failures)
 

@@ -1,16 +1,19 @@
-"""Reference well-formedness check for prefix-exchange tables.
+"""Reference well-formedness check and composition for prefix-exchange tables.
 
 ``oracle_check(arities, bound, offset, table)`` raises what construction of
 ``TableElement(arities, bound, offset, table)`` raises when the table is
 malformed, and returns None otherwise.  It compares every pair of bricks at
 an index for overlap and sums exact rational masses, so its cost is
 quadratic in the bricks per index; keep the tables small.
+
+``oracle_compose(f, g)`` is f after g, with every entry of g matched against
+every entry of f at its target index by prefix tests.
 """
 
 from fractions import Fraction
 
 from groupoid_invariants.errors import BoundExceeded
-from groupoid_invariants.tables import MAX_WORD_DEPTH
+from groupoid_invariants.tables import MAX_WORD_DEPTH, Brick, TableElement
 
 
 def mass(brick, arities) -> Fraction:
@@ -62,3 +65,32 @@ def _check_partition(arities, bricks, top, side):
                     raise ValueError(f"overlapping {side} bricks at index {j}")
         if total != 1:
             raise ValueError(f"{side} bricks at index {j} have mass {total} != 1")
+
+
+def oracle_compose(f, g) -> TableElement:
+    bound = max(g.bound, f.bound - g.offset, 0)
+    empty = ((),) * len(f.arities)
+    lifted = list(g.table) + [(Brick(empty, j), Brick(empty, j + g.offset))
+                              for j in range(g.bound + 1, bound + 1)]
+    out = []
+    for src, mid in lifted:
+        if mid.index > f.bound:
+            out.append((src, Brick(mid.words, mid.index + f.offset)))
+            continue
+        for fsrc, fdst in f.table:
+            if fsrc.index != mid.index:
+                continue
+            src_tails, dst_tails = [], []
+            for wm, wf in zip(mid.words, fsrc.words):
+                if _is_prefix(wm, wf):
+                    src_tails.append(wf[len(wm):])
+                    dst_tails.append(())
+                elif _is_prefix(wf, wm):
+                    src_tails.append(())
+                    dst_tails.append(wm[len(wf):])
+                else:
+                    break
+            else:
+                out.append((Brick(tuple(w + t for w, t in zip(src.words, src_tails)), src.index),
+                            Brick(tuple(w + t for w, t in zip(fdst.words, dst_tails)), fdst.index)))
+    return TableElement(f.arities, bound, f.offset + g.offset, tuple(out))

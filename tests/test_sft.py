@@ -1,8 +1,11 @@
 import random
 import sys
+import time
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sft
 from groupoid_invariants import errors, fggroup, sft
@@ -12,9 +15,10 @@ from groupoid_invariants.classify import product_isomorphic
 from groupoid_invariants.fggroup import FgGroup, cokernel, direct_sum, tensor
 from groupoid_invariants.homology import hk_check
 from groupoid_invariants.intmatrix import IntMatrix, ModularSnf
-from groupoid_invariants.sft import (companion_matrix, det_id_minus,
+from groupoid_invariants.sft import (_irreducible, companion_matrix, det_id_minus,
                                      invariants, is_primitive,
                                      sft_abelianization, validate)
+from sft_oracle import irreducible_oracle, primitive_oracle
 
 
 def test_validate_examples():
@@ -116,6 +120,63 @@ def test_is_primitive_matches_power_oracle(rng):
     for _ in range(40):
         f = random_sft(rng)
         assert is_primitive(f) == _primitive_oracle(f.a)
+
+
+def _random_rows(rng):
+    """A random nonnegative matrix, n = 1-12: sparse or dense entries, or a
+    cycle through every vertex plus extra edges, which may all step from one
+    class modulo p to the next (period p)."""
+    n = rng.randint(1, 12)
+    kind = rng.choice(("random", "cycle", "periodic"))
+    if kind == "random":
+        density = rng.choice((0.1, 0.3, 0.6))
+        return [[rng.randint(1, 2) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    p = rng.randint(1, n)
+    if kind == "periodic" and n % p == 0:
+        cls = {v: t % p for t, v in enumerate(order)}
+    else:
+        cls = {v: 0 for v in order}
+        p = 1
+    for t, v in enumerate(order):
+        rows[v][order[(t + 1) % n]] = 1
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if (cls[u] + 1) % p == cls[v]:
+            rows[u][v] += 1
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_irreducible_and_primitive_match_closure_oracles(seed):
+    rows = _random_rows(random.Random(seed))
+    irreducible = irreducible_oracle(rows)
+    assert _irreducible(IntMatrix.from_rows(rows)) == irreducible
+    try:
+        f = validate(rows)
+    except errors.SftValidationError:
+        return
+    assert is_primitive(f) == primitive_oracle(rows)
+
+
+def test_is_primitive_decides_a_long_cycle_fast():
+    # a 40-cycle with one doubled edge has period 40; Wielandt's power loop
+    # took seconds here
+    n = 40
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = 1
+    rows[0][1] = 2
+    f = validate(rows)
+    start = time.perf_counter()
+    assert not is_primitive(f)
+    rows[5][5] = 1
+    assert is_primitive(validate(rows))
+    assert time.perf_counter() - start < 1
 
 
 def test_sft_abelianization_examples():

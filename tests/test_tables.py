@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupoid_invariants import tables
 from groupoid_invariants.errors import BoundExceeded, IncompatibleParameters
 from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, TableElement,
                                         alpha_element, alpha_parity, alpha_word, baker,
@@ -12,7 +13,7 @@ from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, TableElement,
                                         permutation_element, tau_tilde,
                                         verify_relations)
 
-from table_oracle import oracle_check
+from table_oracle import oracle_check, oracle_compose
 
 
 def test_gen_tau_action():
@@ -164,6 +165,75 @@ def _verdict(fn, *args):
 def test_wellformedness_matches_pairwise_oracle(seed):
     args = _random_table(random.Random(seed))
     assert _verdict(TableElement, *args) == _verdict(oracle_check, *args)
+
+
+def _random_word_element(rng, arities):
+    """A product of 0-6 random generators s_{i,d}, tau_i (i = 1-3) and their
+    inverses."""
+    letters = []
+    for _ in range(rng.randint(0, 6)):
+        i = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            e = gen_s(i, rng.randint(1, len(arities)), arities)
+        else:
+            e = gen_tau(i, arities)
+        letters.append(inverse(e) if rng.random() < 0.5 else e)
+    return compose_all(letters) if letters else identity(arities)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_compose_matches_pairwise_oracle(seed):
+    rng = random.Random(seed)
+    arities = tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 3)))
+    f, g = _random_word_element(rng, arities), _random_word_element(rng, arities)
+    assert compose(f, g) == oracle_compose(f, g)
+    assert compose(g, f) == oracle_compose(g, f)
+
+
+def test_compose_fast_path_shapes_match_oracle():
+    ar = (2, 3)
+    s, t = gen_s(1, 2, ar), gen_tau(1, ar)
+    pairs = [
+        # f has one source brick of empty words at the index g's target
+        # words reach: g's target words are appended to f's target
+        (t, inverse(s)), (gen_tau(2, ar), compose(inverse(s), t)),
+        # g's target words are empty and f splits the index: f's source
+        # words are prefixed to g's source
+        (s, t), (compose(s, gen_s(2, 1, ar)), inverse(gen_s(1, 1, ar))),
+        # both, and neither
+        (t, t), (compose(inverse(s), s), compose(s, inverse(gen_s(1, 1, ar)))),
+    ]
+    for f, g in pairs:
+        assert compose(f, g) == oracle_compose(f, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_inverse_equals_checked_swap(seed):
+    rng = random.Random(seed)
+    args = _random_table(rng)
+    if _verdict(TableElement, *args) is None:
+        f = TableElement(*args)
+    else:
+        f = _random_word_element(rng, tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 3))))
+    swapped = tuple((t, s) for s, t in f.table)
+    assert inverse(f) == TableElement(f.arities, f.bound + f.offset, -f.offset, swapped)
+    assert inverse(inverse(f)) == f
+
+
+def test_relation_check_builds_each_generator_once(monkeypatch):
+    calls = []
+    check = TableElement.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        check(self)
+
+    monkeypatch.setattr(tables.TableElement, "__post_init__", counted)
+    rep = verify_relations(3, (3, 3, 3), 4)
+    assert rep.checked == 131 and rep.failures == []
+    assert 0 < len(calls) <= 650
 
 
 def test_apply_rejects_malformed_points():
