@@ -3,8 +3,9 @@
 The package computes, with exact integer arithmetic throughout:
 
   * Smith normal forms, cokernels and kernels (``intmatrix``, ``fggroup``);
-    a square presentation with determinant D != 0 gets its cokernel from one
-    elimination modulo |D| instead, and only D = 0 takes a Smith normal form;
+    a square presentation with determinant D != 0 gets its cokernel from a
+    certified map onto Z/|D| when it is cyclic, else from one elimination
+    modulo |D|, and only D = 0 takes a Smith normal form;
   * canonical forms and the tensor/Tor/Ext calculus of finitely generated
     abelian groups over a coprime base, without Smith normal forms
     (``fggroup``);
@@ -35,8 +36,8 @@ from .fggroup import (FgElement, FgGroup, GroupHom, QuotientMap, TensorMap,
 from .graded import GradedGroups
 from .homology import (HkReport, KTheory, hk_check, iterated_kunneth,
                        kunneth_pair, product_homology, product_k_theory)
-from .intmatrix import (IntMatrix, ModularSnf, SnfResult, smith_form_mod_det,
-                        smith_normal_form)
+from .intmatrix import (FractionFreeLU, IntMatrix, ModularSnf, SnfResult,
+                        smith_form_mod_det, smith_normal_form)
 from .sft import (SftInvariants, SftMatrix, companion_matrix, invariants,
                   is_primitive, sft_abelianization, thompson_factor_list,
                   validate)

@@ -3,6 +3,13 @@
 Everything here is exact: entries are Python ints, so adjacency matrices with
 large determinants never overflow.
 
+One Bareiss elimination serves determinants and solving:
+``IntMatrix.fraction_free_lu`` keeps the multipliers of the fraction-free
+elimination below the diagonal (``FractionFreeLU``), ``IntMatrix.det`` reads
+the determinant off it, and ``FractionFreeLU.solve`` runs a right-hand side c
+through the same steps in O(n^2) to return adj(m) c exactly, the solution of
+m y = det(m) c.
+
 Two diagonal reductions serve cokernels.  ``smith_normal_form`` works over Z
 and keeps both transforms; it is the one for singular matrices, whose kernel
 needs the right transform.  ``smith_form_mod_det`` is for a square matrix m
@@ -11,14 +18,18 @@ coker m = (Z/|D|)^n / image, and elimination modulo |D| keeps every entry
 below |D| (the modular-determinant method of Domich-Kannan-Trotter, Math.
 Oper. Res. 1987, and Hafner-McCurley, SIAM J. Comput. 1991).  Over Z the
 transform entries of a dense n x n matrix grow to thousands of bits; modulo
-|D| they stay at the size of D.
+|D| they stay at the size of D.  ``fggroup.cokernel_and_kernel`` needs it
+only for small matrices and for cokernels that are not cyclic: a cyclic one
+is read off adjugate columns from ``solve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalError
 
@@ -49,7 +60,9 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        ent = [0] * (n * n)
+        ent[::n + 1] = [1] * n
+        return cls(n, n, tuple(ent))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -81,8 +94,8 @@ class IntMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows, tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._check_same_shape(other)
@@ -120,33 +133,93 @@ class IntMatrix:
                      for i in range(self.rows))
 
     def det(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant, read off the fraction-free LU."""
+        return self.fraction_free_lu().det
+
+    def fraction_free_lu(self) -> "FractionFreeLU":
+        """Bareiss elimination with its multipliers kept (``FractionFreeLU``).
+
+        Step k swaps up the first row below with a nonzero entry in column k
+        when a_kk = 0 (none: det = 0), then replaces every entry (i, j) with
+        i, j > k by (a_ij a_kk - a_ik a_kj) / p, p the previous pivot.
+        Column k below the diagonal is left in place: those entries are the
+        step's multipliers.
+        """
         if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
+            raise ValueError("fraction-free LU of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
+        a = self.to_rows()
+        perm = list(range(n))
+        sign = prev = 1
+        for k in range(n):
+            if not a[k][k]:
+                for r in range(k + 1, n):
+                    if a[r][k]:
                         break
                 else:
-                    return 0
+                    return FractionFreeLU(tuple(perm), (), 0)
+                a[k], a[r] = a[r], a[k]
+                perm[k], perm[r] = perm[r], perm[k]
+                sign = -sign
+            rk = a[k]
+            p = rk[k]
             for i in range(k + 1, n):
+                ri = a[i]
+                x = ri[k]
                 for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+                    ri[j] = (ri[j] * p - x * rk[j]) // prev
+            prev = p
+        return FractionFreeLU(tuple(perm), tuple(map(tuple, a)), sign * prev)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
+
+
+class FractionFreeLU(NamedTuple):
+    """The Bareiss elimination of a square matrix m, kept for solving.
+
+    Row perm[k] of m is the k-th pivot row, and ``rows`` is the eliminated
+    matrix: on and above the diagonal the factor U, below it the multipliers
+    L_ik, the entries of column k under the pivot at step k, which the
+    elimination leaves in place.  By Sylvester's identity every entry after
+    step k is a (k+2)-minor of the row-permuted m (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 1968), so all are integers, every division by the previous pivot
+    is exact, and U_n-1,n-1 = det(m permuted).  ``det`` is det m, with the
+    sign of the permutation.  For det = 0, ``rows`` is empty.
+
+    ``solve`` reuses the elimination: its steps applied to a right-hand side
+    c are Bareiss on the augmented matrix [m | c], whose new column holds
+    minors too, so they stay exact.  The eliminated system U x = c' is
+    equivalent to m x = c, and its solution scaled by det m, adj(m) c, is
+    integral, so back substitution divides exactly as well.
+    """
+
+    perm: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    det: int
+
+    def solve(self, c: Sequence[int]) -> list[int]:
+        """adj(m) c: the integer vector y with m y = det(m) c, in O(n^2)
+        operations on numbers of the size of det m."""
+        if not self.det:
+            raise ValueError("solve needs a nonzero determinant")
+        if len(c) != len(self.perm):
+            raise ValueError("vector length mismatch")
+        rows = self.rows
+        pivots = [r[k] for k, r in enumerate(rows)]
+        prevs = [1] + pivots[:-1]
+        y = [c[i] for i in self.perm]
+        for i, r in enumerate(rows):
+            # steps 0..i-1 of the elimination, on entry i of the right-hand side
+            x = y[i]
+            for l, z, p, q in zip(r[:i], y, pivots, prevs):
+                x = (x * p - l * z) // q
+            y[i] = x
+        for i in reversed(range(len(y))):
+            r = rows[i]
+            y[i] = (self.det * y[i] - sum(map(mul, r[i + 1:], y[i + 1:]))) // r[i]
+        return y
 
 
 @dataclass(frozen=True)

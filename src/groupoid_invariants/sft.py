@@ -9,11 +9,30 @@ invariants are exact integer-linear-algebra data:
   * det(id - A) and its sign,
   * the full-group abelianization (H_0 (x) Z/2) (+) H_1.
 
-``invariants`` computes D = det(id - A^t) once, by Bareiss elimination, and
-then: for D != 0, H_0 and the unit class from one elimination modulo |D|
-(``intmatrix.smith_form_mod_det``) and H_1 = 0, with an exact check that
-|H_0| = |D|; for D = 0, H_0, the unit class and H_1 from one Smith normal
-form.
+``invariants`` gets all of it from ``fggroup.cokernel_and_kernel`` of the
+presentation id - A^t, which computes D = det(id - A^t) once, by one
+Bareiss elimination kept as a fraction-free LU.  For D != 0, H_1 = 0 and
+H_0 has order N = |D|, and:
+
+  * when H_0 is cyclic and n >= 8, an LU of id - A, the transpose, solves
+    (id - A) y = D c for a few seeded c, each in O(n^2), giving
+    y = adj(id - A) c exactly, and the y combine into a row w with
+    gcd(w, N) = 1.  Each such w satisfies
+    w (id - A^t) = D c^t = 0 mod N, and that is checked on every column.
+    Together with |H_0| = N the two facts make x -> w x mod N an
+    isomorphism H_0 -> Z/N (proof at ``fggroup._cyclic_row``): H_0 = Z/N and
+    the unit class is sum(w) mod N, with no elimination modulo N;
+  * otherwise (n < 8, where the elimination costs no more than the
+    columns, H_0 not cyclic, or no w certified after a fixed number of
+    columns) H_0 and the unit class come from one elimination modulo N
+    (``intmatrix.smith_form_mod_det``).
+
+For D = 0, H_0, the unit class and H_1 come from one Smith normal form.
+Either way ``invariants`` checks exactly that |H_0| = |D| and that the
+exponent of H_0 kills the unit class.  The coordinates of the unit class
+depend on which isomorphism onto the canonical form a path found, so they
+are meaningful only up to an automorphism of H_0: compare unit classes with
+``automorphisms.aut_orbit_equivalent``, never coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -120,15 +139,13 @@ def invariants(a: SftMatrix) -> SftInvariants:
 
 def _compute_invariants(m: IntMatrix) -> SftInvariants:
     n = m.rows
-    pres = IntMatrix.identity(n) - m.transpose()
-    det = pres.det()  # det(id - A^t) = det(id - A)
-    bf, qmap, h1 = cokernel_and_kernel(pres, det)
+    bf, qmap, h1, det = cokernel_and_kernel(IntMatrix.identity(n) - m.transpose())
     unit = qmap((1,) * n)
     if det:
         exponent = bf.torsion[-1] if bf.torsion else 1
         if bf.order() != abs(det) or not unit.scale(exponent).is_zero:
             raise errors.InternalError(
-                f"elimination modulo |det| = {abs(det)} gave BF = {bf} "
+                f"|det| = {abs(det)} but the cokernel gave BF = {bf} "
                 f"with unit class {unit.coords()}")
     homology = GradedGroups({0: bf, 1: h1}, unit)
     return SftInvariants(

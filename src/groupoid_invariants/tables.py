@@ -354,8 +354,13 @@ def gen_tau(i: int, arities) -> TableElement:
 def tau_tilde(i: int, d: int, arities) -> TableElement:
     """tau_{i+k(d)-1} ... tau_{i+1} tau_i, the cycle moving index i past the
     block it was split into."""
-    k = tuple(arities)[d - 1]
-    return compose_all([gen_tau(i + j, arities) for j in range(k - 1, -1, -1)])
+    arities = tuple(arities)
+    return _tau_tilde(i, arities[d - 1], lambda j: gen_tau(j, arities))
+
+
+def _tau_tilde(i: int, k: int, tau) -> TableElement:
+    # tau_tilde over k = k(d), from the transpositions tau(j)
+    return compose_all([tau(i + j) for j in range(k - 1, -1, -1)])
 
 
 def _grid_permutation(i: int, d: int, d_prime: int, arities) -> dict[int, int]:
@@ -508,7 +513,7 @@ def verify_relations(n: int, k, index_bound: int) -> RelationReport:
         for i in range(1, index_bound + 1):
             expect("split_shift", (i, d),
                    compose(s(i, d), tau(i)),
-                   compose(tau_tilde(i, d, arities), s(i + 1, d)))
+                   compose(_tau_tilde(i, kd, tau), s(i + 1, d)))
             for j in range(1, index_bound + 1):
                 if i < j:
                     expect("s_tau_above", (i, j, d),

@@ -174,7 +174,7 @@ def test_corrupted_product_witness_is_rejected():
 
 
 def test_positive_sft_verdict_checks_surjectivity_once(monkeypatch):
-    a, b = companion_matrix(5, 1), companion_matrix(5, 3)
+    a, b = validate([[1, 2], [2, 1]]), validate([[1, 2], [2, 3]])  # units (1, 1), (1, 0) in (Z/2)^2
     invariants(a), invariants(b)
     calls = []
     surjective = GroupHom.is_surjective

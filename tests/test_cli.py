@@ -108,10 +108,11 @@ def test_classify_past_the_automorphism_tuple_wall(capsys):
 
 
 def test_tiny_aut_bound_exits_bound_with_the_work_reached(capsys):
-    # units 1 (x) 1 against 3 (x) 1 in Z/4 (x) Z/4: the layered search
-    # evaluates |Orb(1)| * |Orb(1)| = 4 tensor products
-    doc_a = '{"factors": [[[5]], [[5]]]}'
-    doc_b = '{"factors": [[[0,0,5],[1,0,0],[0,1,0]], [[5]]]}'
+    # units (1, 2) (x) u against (1, 0) (x) u in (Z/2 + Z/4) (x) Z/4, u a
+    # generator: the layered search evaluates |Orb((1, 2))| * |Orb(u)| = 4
+    # tensor products
+    doc_a = '{"factors": [[[0,1,0],[1,0,2],[1,3,3]], [[5]]]}'
+    doc_b = '{"factors": [[[3,3,1],[0,3,2],[2,2,3]], [[5]]]}'
     assert run(capsys, "classify", doc_a, doc_b)[0] == 0
     code, out, err = run(capsys, "--aut-bound", "3", "classify", doc_a, doc_b)
     assert code == 3 and out == ""

@@ -1,14 +1,16 @@
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.errors import InternalError
+from groupoid_invariants import fggroup
 from groupoid_invariants.fggroup import FgGroup, GroupHom, cokernel, cokernel_and_kernel
-from groupoid_invariants.intmatrix import (IntMatrix, _inverse_mod, smith_form_mod_det,
-                                          smith_normal_form)
+from groupoid_invariants.intmatrix import (FractionFreeLU, IntMatrix, _inverse_mod,
+                                          smith_form_mod_det, smith_normal_form)
 
 
 def snf_invariants_hold(m, snf):
@@ -147,15 +149,27 @@ def _random_unimodular(rng, n, steps=24):
 
 def _modular_corpus():
     """Nonsingular square matrices: SFT presentations id - A^t with entries
-    0-3 and n = 2..12, companion-matrix presentations, and diagonal block sums
-    with square factors ((Z/2)^k, (Z/4)^2, ...) hidden by unimodular changes
-    of basis, which force pivots that are not units modulo det."""
+    0-3 and n = 2..12, and dense ones with n = 14..30, half of them with
+    A_00 = 1, so the LU of id - A has a zero leading pivot and swaps rows;
+    companion-matrix presentations; diagonal block sums with square factors
+    ((Z/2)^k, (Z/4)^2, ...) hidden by unimodular changes of basis, which
+    force pivots that are not units modulo det; and unimodular matrices,
+    |det| = 1."""
     rng = random.Random(1512)
     corpus = []
     for n in range(2, 13):
         for _ in range(12):
             a = IntMatrix.from_rows([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
             corpus.append(IntMatrix.identity(n) - a.transpose())
+    for n in range(14, 31, 2):
+        for lead in (None, 1):
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            if lead is not None:
+                rows[0][0] = lead
+            corpus.append(IntMatrix.identity(n) - IntMatrix.from_rows(rows).transpose())
+    for n in (1, 2, 5, 9):
+        corpus.append(_random_unimodular(rng, n))
+    corpus.append(IntMatrix.from_rows([[0, -1], [-1, 1]]))  # id - golden mean shift^t
     for k in range(2, 7):
         for r in range(1, 5):
             comp = [[0] * r for _ in range(r)]
@@ -173,16 +187,23 @@ def _modular_corpus():
     return [m for m in corpus if m.det() != 0]
 
 
-def test_modular_cokernel_matches_snf_cokernel():
+def test_modular_cokernel_matches_snf_cokernel(monkeypatch):
+    fallbacks = []
+    reduce = fggroup.smith_form_mod_det
+    monkeypatch.setattr(fggroup, "smith_form_mod_det",
+                        lambda m, det: fallbacks.append(m) or reduce(m, det))
     corpus = _modular_corpus()
     assert len(corpus) > 150
+    expect_fallback = 0
     for m in corpus:
         n = m.rows
         det = m.det()
-        grp, qmap, ker = cokernel_and_kernel(m, det)
+        grp, qmap, ker, got = cokernel_and_kernel(m)
+        expect_fallback += len(grp.torsion) > 1 or n < fggroup._CYCLIC_MIN_SIZE
         ref, ref_map = cokernel(m)
-        assert grp == ref and ker.is_trivial
+        assert grp == ref and ker.is_trivial and got == det
         assert grp.order() == abs(det)
+        assert grp.torsion == reduce(m, det).factors
         # the projection kills the image and its unit vectors generate: with
         # |grp| = |coker m| it is the cokernel projection
         for j in range(n):
@@ -193,6 +214,85 @@ def test_modular_cokernel_matches_snf_cokernel():
         u, ref_u = qmap(ones), ref_map(ones)
         assert u.order() == ref_u.order()
         assert aut_orbit_equivalent(grp, u, ref_u)
+    # both branches run: every cyclic cokernel with at least
+    # _CYCLIC_MIN_SIZE rows is certified, and exactly the others fall back
+    assert 0 < len(fallbacks) == expect_fallback < len(corpus)
+
+
+def test_fraction_free_solve_gives_the_adjugate_column():
+    rng = random.Random(1968)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.5:
+            rows[0][0] = 0  # the first pivot needs a row swap
+        m = IntMatrix.from_rows(rows)
+        lu = m.fraction_free_lu()
+        assert lu.det == (_det_by_permutation_expansion(m) if n <= 5 else _det_over_q(m))
+        if lu.det:
+            c = [rng.randint(-50, 50) for _ in range(n)]
+            assert list(m.apply(lu.solve(c))) == [lu.det * x for x in c]
+    for n in (1, 2, 3, 4):
+        # the all-ones matrix: for n >= 2 the second pivot is 0 with no row to swap
+        assert IntMatrix.from_rows([[1] * n] * n).fraction_free_lu().det == (n == 1)
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2], [2, 4]]).fraction_free_lu().solve([1, 0])
+
+
+def _det_over_q(m):
+    """det m by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+    det = Fraction(1)
+    for k in range(m.rows):
+        piv = next((i for i in range(k, m.rows) if rows[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, m.rows):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return int(det)
+
+
+def _corrupted_solves(monkeypatch, corrupt):
+    solve = FractionFreeLU.solve
+    monkeypatch.setattr(FractionFreeLU, "solve", lambda lu, c: corrupt(solve(lu, c)))
+
+
+def _seeded_presentation(seed, n=12):
+    rng = random.Random(seed)
+    rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+    return IntMatrix.identity(n) - IntMatrix.from_rows(rows).transpose()
+
+
+def test_a_doubled_certificate_row_falls_back(monkeypatch):
+    # coker = Z/19632, an even order: twice any adjugate row has
+    # gcd(w, 19632) >= 2, so no row is certified and the elimination modulo
+    # |det| answers
+    m = _seeded_presentation(47)
+    ref = cokernel(m)[0]
+    assert ref == FgGroup.cyclic(19632)
+    fallbacks = []
+    reduce = fggroup.smith_form_mod_det
+    monkeypatch.setattr(fggroup, "smith_form_mod_det",
+                        lambda m, det: fallbacks.append(m) or reduce(m, det))
+    _corrupted_solves(monkeypatch, lambda y: [2 * x for x in y])
+    grp, qmap, _, det = cokernel_and_kernel(m)
+    assert len(fallbacks) == 1 and grp == ref and abs(det) == 19632
+    assert qmap((1,) * 12).order() == cokernel(m)[1]((1,) * 12).order()
+
+
+def test_a_certificate_row_that_does_not_annihilate_is_an_internal_error(monkeypatch):
+    m = _seeded_presentation(43)
+    grp, _, _, _ = cokernel_and_kernel(m)
+    assert len(grp.torsion) == 1
+    # the first column's row plus e_0: gcd(w, N) = 1 still, w m != 0 mod N
+    _corrupted_solves(monkeypatch, lambda y: [y[0] + 1] + y[1:])
+    with pytest.raises(InternalError):
+        cokernel_and_kernel(m)
 
 
 def test_modular_reduction_of_square_factor_block_sums():

@@ -236,6 +236,21 @@ def test_relation_check_builds_each_generator_once(monkeypatch):
     assert 0 < len(calls) <= 650
 
 
+def test_relation_check_builds_tau_tilde_from_the_memo(monkeypatch):
+    # tau_tilde(i, d) is a product of transpositions the call has already built
+    calls = []
+    check = TableElement.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        check(self)
+
+    monkeypatch.setattr(tables.TableElement, "__post_init__", counted)
+    rep = verify_relations(3, (3, 3, 3), 4)
+    assert rep.checked == 131 and rep.failures == []
+    assert len(calls) <= 593
+
+
 def test_apply_rejects_malformed_points():
     s = gen_s(1, 1, (2, 2))
     with pytest.raises(ValueError, match="coordinates"):
