@@ -2,10 +2,11 @@
 
 The package computes, with exact integer arithmetic throughout:
 
-  * Smith normal forms, cokernels and kernels (``intmatrix``, ``fggroup``);
-    a square presentation with determinant D != 0 gets its cokernel from a
-    certified map onto Z/|D| when it is cyclic, else from one elimination
-    modulo |D|, and only D = 0 takes a Smith normal form;
+  * Smith normal forms, cokernels and kernels (``intmatrix``, ``fggroup``)
+    from one diagonal elimination, run over Z or modulo an integer; a square
+    presentation with determinant D != 0 gets its cokernel from a certified
+    map onto Z/|D| when it is cyclic, else from the elimination modulo |D|,
+    and only D = 0 takes a Smith normal form;
   * canonical forms and the tensor/Tor/Ext calculus of finitely generated
     abelian groups over a coprime base, without Smith normal forms
     (``fggroup``);

@@ -126,23 +126,21 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
         return sft_isomorphic(factors_a[0], factors_b[0])
 
     n = len(factors_a)
-    data_a = [(inv, inv.det) for inv in map(invariants, factors_a)]
-    data_b = [(inv, inv.det) for inv in map(invariants, factors_b)]
-    sort_key = lambda pair: (pair[0].free_rank, pair[0].torsion, pair[1])
-    keys_a = sorted(((inv.bf, det) for inv, det in data_a), key=sort_key)
-    keys_b = sorted(((inv.bf, det) for inv, det in data_b), key=sort_key)
-    if keys_a != keys_b:
+    data_a = [invariants(f) for f in factors_a]
+    data_b = [invariants(f) for f in factors_b]
+    key = lambda inv: (inv.bf.free_rank, inv.bf.torsion, inv.det)
+    if sorted(map(key, data_a)) != sorted(map(key, data_b)):
         return ClassificationVerdict(
             False, None, "multisets of (Bowen-Franks group, det(id-A)) differ")
 
-    if any(not inv.bf.is_finite for inv, _ in data_a):
+    if any(not inv.bf.is_finite for inv in data_a):
         raise BoundExceeded(
             "a factor has infinite Bowen-Franks group; the unit-orbit search "
             "is only implemented for finite groups "
             "(passed filters: factor counts and (BF, det) multisets match)")
 
-    groups = [inv.bf for inv, _ in data_a]
-    units_a = [inv.unit for inv, _ in data_a]
+    groups = [inv.bf for inv in data_a]
+    units_a = [inv.unit for inv in data_a]
     # one tensor-fold of the canonical groups serves every permutation
     maps = []
     acc = groups[0]
@@ -159,10 +157,9 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
     lhs = tensor_elem(units_a)
     layers = None
     for sigma in itertools.permutations(range(n)):
-        if any((data_a[i][0].bf, data_a[i][1]) != (data_b[sigma[i]][0].bf, data_b[sigma[i]][1])
-               for i in range(n)):
+        if any(key(data_a[i]) != key(data_b[s]) for i, s in enumerate(sigma)):
             continue
-        rhs = tensor_elem([data_b[sigma[i]][0].unit for i in range(n)])
+        rhs = tensor_elem([data_b[s].unit for s in sigma])
         # identity tuple first: catches the common witness immediately
         if lhs == rhs:
             homs = tuple(GroupHom.identity(g) for g in groups)
@@ -225,14 +222,13 @@ def _verify_product_witness(witness, data_a, data_b, tensor_elem):
         raise InternalError("witness sigma is not a permutation")
     imgs = []
     for i in range(n):
-        inv_a, det_a = data_a[i]
-        inv_b, det_b = data_b[witness.sigma[i]]
+        inv_a, inv_b = data_a[i], data_b[witness.sigma[i]]
         hom = witness.homs[i]
-        if det_a != det_b:
+        if inv_a.det != inv_b.det:
             raise InternalError(f"witness matches factor {i} across different determinants")
         if not (hom.domain == inv_a.bf and hom.codomain == inv_b.bf and hom.is_isomorphism()):
             raise InternalError(f"witness hom {i} is not an isomorphism of the Bowen-Franks groups")
         imgs.append(hom(inv_a.unit))
-    units_b = [data_b[witness.sigma[i]][0].unit for i in range(n)]
+    units_b = [data_b[s].unit for s in witness.sigma]
     if tensor_elem(imgs) != tensor_elem(units_b):
         raise InternalError("witness does not carry the unit tensor to the unit tensor")

@@ -29,7 +29,8 @@ base, with the same valuations and idempotents.  The isomorphism onto the canoni
 element coordinates are meaningful only up to an automorphism.
 
 Cokernels of general matrices (``cokernel``) and kernels (``kernel_group``)
-use the Smith normal form.  ``cokernel_and_kernel`` takes a square
+use the Smith normal form: ``intmatrix``'s one diagonal elimination, run over
+Z with both transforms.  ``cokernel_and_kernel`` takes a square
 presentation m and computes D = det m by one Bareiss elimination, kept as
 a fraction-free LU.  For D != 0, ker m is 0 and coker m has order N = |D|.
 When coker m is cyclic and m has at least ``_CYCLIC_MIN_SIZE`` rows, a few
@@ -37,7 +38,7 @@ adjugate columns from the LU of m^t give a row w with w m = 0 mod N and
 gcd(w, N) = 1, checked on every column, which makes x -> w x mod N an
 isomorphism coker m -> Z/N (``_cyclic_row`` proves it); no elimination
 modulo N runs.  Otherwise, or when the columns tried find no such w,
-coker m comes from the elimination modulo N
+coker m comes from the same elimination run modulo N
 (``intmatrix.smith_form_mod_det``).  For D = 0 one Smith normal form
 supplies both.  Every projection, these and the tensor map, is a
 ``QuotientMap``; like the tensor map, each is one isomorphism onto the
@@ -224,6 +225,8 @@ class FgElement:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        if (len(self.free), len(self.torsion)) != (self.group.free_rank, len(self.group.torsion)):
+            raise ValueError("coordinate count does not match the group")
         for c, d in zip(self.torsion, self.group.torsion):
             if not 0 <= c < d:
                 raise ValueError("torsion coordinate not reduced")
@@ -285,6 +288,8 @@ class GroupHom:
     def __post_init__(self):
         if len(self.images) != self.domain.num_generators:
             raise ValueError("need one image per generator")
+        if any(img.group != self.codomain for img in self.images):
+            raise ValueError("generator image not in the codomain")
         r = self.domain.free_rank
         for d, img in zip(self.domain.torsion, self.images[r:]):
             if not img.scale(d).is_zero:
@@ -305,16 +310,6 @@ class GroupHom:
             raise ValueError("composition mismatch")
         return GroupHom(inner.domain, self.codomain,
                         tuple(self(img) for img in inner.images))
-
-    def matrix(self) -> IntMatrix:
-        """Integer matrix of image coordinates, one column per domain generator."""
-        rows = self.codomain.num_generators
-        cols = self.domain.num_generators
-        ent = [0] * (rows * cols)
-        for j, img in enumerate(self.images):
-            for i, c in enumerate(img.coords()):
-                ent[i * cols + j] = c
-        return IntMatrix(rows, cols, tuple(ent))
 
     def is_isomorphism(self) -> bool:
         """True iff the hom is bijective.

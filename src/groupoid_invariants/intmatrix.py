@@ -10,25 +10,27 @@ the determinant off it, and ``FractionFreeLU.solve`` runs a right-hand side c
 through the same steps in O(n^2) to return adj(m) c exactly, the solution of
 m y = det(m) c.
 
-Two diagonal reductions serve cokernels.  ``smith_normal_form`` works over Z
-and keeps both transforms; it is the one for singular matrices, whose kernel
+One diagonal elimination (``_eliminate``) serves cokernels and kernels.  It
+runs over Z/N, N = 0 meaning Z, and logs its row and column operations.
+``smith_normal_form`` is the case N = 0: it replays both transforms from the
+logs, and it is the one for singular and rectangular matrices, whose kernel
 needs the right transform.  ``smith_form_mod_det`` is for a square matrix m
 with det m = D != 0: m @ adj(m) = D * I puts D Z^n inside the image of m, so
-coker m = (Z/|D|)^n / image, and elimination modulo |D| keeps every entry
-below |D| (the modular-determinant method of Domich-Kannan-Trotter, Math.
-Oper. Res. 1987, and Hafner-McCurley, SIAM J. Comput. 1991).  Over Z the
-transform entries of a dense n x n matrix grow to thousands of bits; modulo
-|D| they stay at the size of D.  ``fggroup.cokernel_and_kernel`` needs it
-only for small matrices and for cokernels that are not cyclic: a cyclic one
-is read off adjugate columns from ``solve``.
+coker m = (Z/|D|)^n / image, and elimination modulo N = |D| keeps every
+entry below |D| (the modular-determinant method of Domich-Kannan-Trotter,
+Math. Oper. Res. 1987, and Hafner-McCurley, SIAM J. Comput. 1991).  Over Z
+the transform entries of a dense n x n matrix grow to thousands of bits;
+modulo |D| they stay at the size of D.  ``fggroup.cokernel_and_kernel``
+needs it only for small matrices and for cokernels that are not cyclic: a
+cyclic one is read off adjugate columns from ``solve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd
-from operator import mul
+from math import gcd, inf
+from operator import index, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InternalError
@@ -55,7 +57,12 @@ class IntMatrix:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        flat = tuple(int(x) for r in rows for x in r)
+        try:
+            flat = tuple(map(index, chain.from_iterable(rows)))
+        except TypeError:
+            i, j, x = next((i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r)
+                           if not hasattr(type(x), "__index__"))
+            raise ValueError(f"entry ({i}, {j}) is {x!r}, not an integer") from None
         return cls(n, m, flat)
 
     @classmethod
@@ -242,109 +249,15 @@ class SnfResult:
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
-    """Compute the Smith normal form with both transformation matrices.
-
-    Pivoting picks the nonzero entry of minimal absolute value in the
-    remaining submatrix, which keeps intermediate entries small at the
-    matrix sizes arising here.
-    """
+    """Smith normal form with both transforms: ``_eliminate`` over Z, then
+    every row of u replayed from the row operations and every column of v
+    from the column operations (``_transform_row``)."""
     rows, cols = m.rows, m.cols
-    a = m.to_rows()
-    u = IntMatrix.identity(rows).to_rows()
-    v = IntMatrix.identity(cols).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row dst += q * row src
-        arow, urow = a[src], u[src]
-        ad, ud = a[dst], u[dst]
-        for k in range(cols):
-            ad[k] += q * arow[k]
-        for k in range(rows):
-            ud[k] += q * urow[k]
-
-    def add_col(src, dst, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    for t in range(n):
-        while True:
-            # minimal-absolute-value nonzero pivot in the trailing block
-            best = None
-            for i in range(t, rows):
-                ai = a[i]
-                for j in range(t, cols):
-                    x = ai[j]
-                    if x != 0 and (best is None or abs(x) < abs(best[2])):
-                        best = (i, j, x)
-            if best is None:
-                # trailing block is zero; diagonal zeros trail
-                return _finalize(a, u, v)
-            bi, bj, _ = best
-            if bi != t:
-                swap_rows(t, bi)
-            if bj != t:
-                swap_cols(t, bj)
-            if a[t][t] < 0:
-                negate_row(t)
-            pivot = a[t][t]
-            # clear column t below the pivot
-            dirty = False
-            for i in range(t + 1, rows):
-                x = a[i][t]
-                if x != 0:
-                    q = x // pivot
-                    if q:
-                        add_row(t, i, -q)
-                    if a[i][t] != 0:
-                        dirty = True
-            # clear row t beyond the pivot
-            for j in range(t + 1, cols):
-                x = a[t][j]
-                if x != 0:
-                    q = x // pivot
-                    if q:
-                        add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue  # remainders became smaller pivot candidates
-            # divisibility: the pivot must divide every remaining entry
-            offender = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(offender, t, 1)  # reintroduces row entries; redo with smaller gcd pivot
-    return _finalize(a, u, v)
-
-
-def _finalize(a, u, v) -> SnfResult:
-    # column operations were applied to v directly, so v is already u*m*v's
-    # right transform
-    return SnfResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
+    diag, row_log, col_log = _eliminate(m, 0)
+    u = [x for r in range(rows) for x in _transform_row(row_log, r, 0, rows)]
+    v_cols = [x for j in range(cols) for x in _transform_row(col_log, j, 0, cols)]
+    return SnfResult(IntMatrix(rows, rows, tuple(u)), IntMatrix.diagonal(diag, rows, cols),
+                     IntMatrix(cols, cols, tuple(v_cols)).transpose())
 
 
 @dataclass(frozen=True)
@@ -370,81 +283,103 @@ def _inverse_mod(x: int, n: int) -> int:
 
 
 def smith_form_mod_det(m: IntMatrix, det: int) -> ModularSnf:
-    """Reduce a square m with determinant det != 0 by row and column
-    operations modulo N = |det|.
+    """Reduce a square m with determinant det != 0 modulo N = |det|
+    (``_eliminate``).
 
-    The pivot is the first unit modulo N in the remaining block, row by row,
-    and when there is none the nonzero entry of least absolute value in
-    symmetric residues.  A unit pivot is scaled to 1 and its column cleared
-    exactly; its row then needs no column operations, because they leave u
-    alone, and its diagonal entry is 1.  Any other pivot p clears every entry
-    that g = gcd(p, N) divides exactly (q p = x modulo N with
-    q = (x/g) (p/g)^-1 modulo N/g) and leaves the Euclidean remainder of the
-    rest, so the next pivot is a unit or smaller; once its row and column
-    are clear, g must divide the remaining block, or an offending row is
-    added to the pivot row, as in ``smith_normal_form``.  A remaining block
-    that is 0 modulo N gives diagonal entries N.
-
-    Row operations are logged, not applied to u: row r of u is e_r times the
-    operations in reverse order, and only the rows of nontrivial factors are
-    needed, so u costs O(n^2) per factor instead of O(n^3).
+    Only the rows of u that belong to nontrivial factors are replayed from
+    the logged row operations, so u costs O(n^2) per factor instead of
+    O(n^3).
     """
     if not m.is_square or det == 0:
         raise ValueError("need a square matrix and its nonzero determinant")
     n = m.rows
-    mod = abs(det)
+    diag, log, _ = _eliminate(m, abs(det))
+    first = next((r for r, d in enumerate(diag) if d > 1), n)
+    u = [x for r in range(first, n) for x in _transform_row(log, r, diag[r], n)]
+    return ModularSnf(tuple(diag[first:]), IntMatrix(n - first, n, tuple(u)))
+
+
+def _eliminate(m: IntMatrix, mod: int) -> tuple[list[int], list, list]:
+    """Diagonalize m by row and column operations over Z/N, N = mod; N = 0
+    is Z.
+
+    Returns the diagonal, a divisibility chain of min(rows, cols) entries
+    gcd(s_i, N) for some diagonal form diag(s_i) of m (over Z, |s_i|), and
+    the logs of the row and of the column operations: (src, dst, q) adds q
+    times line src to line dst, and q None swaps them.
+
+    The pivot is the first unit in the remaining block, row by row (over Z,
+    the first entry +-1), and when there is none the nonzero entry of least
+    absolute value in symmetric residues.  A unit pivot is scaled to 1 and
+    its column cleared exactly.  Its row is cleared only over Z, for v:
+    modulo N column operations leave u alone, and the diagonal entry is 1
+    either way.  Any other pivot p, negated if it is negative in symmetric
+    residues, clears every entry that g = gcd(p, N) divides exactly
+    (q p = x modulo N with q = (x/g) (p/g)^-1 modulo N/g; over Z, g = p)
+    and leaves the Euclidean remainder of the rest, so the next pivot is a
+    unit or smaller.  Once its row and column are clear, g must divide the
+    remaining block, or an offending row is added to the pivot row and
+    cleared again.  A remaining block that is 0 modulo N gives diagonal
+    entries N, so zeros trail over Z.
+    """
+    rows, cols = m.rows, m.cols
     half = mod // 2
-    a = [[x % mod for x in m.row(i)] for i in range(n)]
-    log: list[tuple[int, int, int | None]] = []  # row dst += q * row src; q None: swap
+    a = [[x % mod for x in m.row(i)] for i in range(rows)] if mod else m.to_rows()
+    row_log: list[tuple[int, int, int | None]] = []
+    col_log: list[tuple[int, int, int | None]] = []
     diag: list[int] = []
 
     def pick(t):
-        best, best_v = None, mod
-        for i in range(t, n):
+        best, best_v = None, mod or inf
+        for i in range(t, rows):
             ai = a[i]
-            for j in range(t, n):
+            for j in range(t, cols):
                 x = ai[j]
                 if x:
                     if gcd(x, mod) == 1:
                         return i, j
-                    v = x if x <= half else mod - x
+                    v = abs(x - mod if x > half else x)
                     if v < best_v:
                         best, best_v = (i, j), v
         return best
 
     def add_row(src, dst, q, t):
-        # row dst += q * row src, modulo N; columns < t of both rows are 0
+        # row dst += q * row src; columns < t of both rows are 0
         rs, rd = a[src], a[dst]
-        rd[t:] = [(y + q * z) % mod for y, z in zip(rd[t:], rs[t:])]
-        log.append((src, dst, q))
+        if mod:
+            rd[t:] = [(y + q * z) % mod for y, z in zip(rd[t:], rs[t:])]
+        else:
+            rd[t:] = [y + q * z for y, z in zip(rd[t:], rs[t:])]
+        row_log.append((src, dst, q))
 
     def scale_row(t, c):
-        a[t] = [x * c % mod for x in a[t]]
-        log.append((t, t, c - 1))
+        a[t] = [x * c % mod for x in a[t]] if mod else [x * c for x in a[t]]
+        row_log.append((t, t, c - 1))
 
     def clear(t, p, g, pinv):
         # clear column t below and row t beyond the pivot p = a[t][t] as far
         # as exact multiples allow; True if a Euclidean remainder is left
         dirty = False
         ng = mod // g
-        for i in range(t + 1, n):
+        for i in range(t + 1, rows):
             x = a[i][t]
             if x:
-                q = (x // g) * pinv % ng if x % g == 0 else x // p
+                q = (x // g) * pinv % ng if mod and x % g == 0 else x // p
                 add_row(t, i, -q, t)
                 dirty = dirty or a[i][t] != 0
         rt = a[t]
         touched = [r for r in a[t:] if r[t]]  # column operations change only these rows
-        for j in range(t + 1, n):
+        for j in range(t + 1, cols):
             x = rt[j]
             if x:
-                q = (x // g) * pinv % ng if x % g == 0 else x // p
+                q = (x // g) * pinv % ng if mod and x % g == 0 else x // p
                 for r in touched:
-                    r[j] = (r[j] - q * r[t]) % mod
+                    r[j] = (r[j] - q * r[t]) % mod if mod else r[j] - q * r[t]
+                col_log.append((t, j, -q))
                 dirty = dirty or rt[j] != 0
         return dirty
 
-    t = 0
+    t, n = 0, min(rows, cols)
     while t < n:
         best = pick(t)
         if best is None:
@@ -453,28 +388,29 @@ def smith_form_mod_det(m: IntMatrix, det: int) -> ModularSnf:
         bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
-            log.append((t, bi, None))
+            row_log.append((t, bi, None))
         if bj != t:
             for r in a[t:]:
                 r[t], r[bj] = r[bj], r[t]
+            col_log.append((t, bj, None))
         p = a[t][t]
         g = gcd(p, mod)
-        if g == 1:
+        if g == 1 and mod:  # over Z, +-1 is cleared below like any pivot, row too
             if p != 1:
                 scale_row(t, _inverse_mod(p, mod))
-            for i in range(t + 1, n):
+            for i in range(t + 1, rows):
                 x = a[i][t]
                 if x:
                     add_row(t, i, -x, t)
             diag.append(1)
             t += 1
             continue
-        if p > half:
-            scale_row(t, mod - 1)
+        if (p - mod if p > half else p) < 0:  # negative in symmetric residues
+            scale_row(t, -1)
             p = a[t][t]
-        pinv = _inverse_mod(p // g, mod // g)
+        pinv = _inverse_mod(p // g, mod // g) if mod else None  # unused over Z
         while not (dirty := clear(t, p, g, pinv)):
-            offender = next((i for i in range(t + 1, n)
+            offender = next((i for i in range(t + 1, rows)
                              if any(x % g for x in a[i][t + 1:])), None)
             if offender is None:
                 break
@@ -483,25 +419,29 @@ def smith_form_mod_det(m: IntMatrix, det: int) -> ModularSnf:
             continue  # a remainder below p is the next pivot
         diag.append(g)
         t += 1
-    if any(b % c for c, b in zip(diag, diag[1:])):
-        raise InternalError(f"modular diagonal {diag} is not a divisibility chain")
-    first = next((r for r, d in enumerate(diag) if d > 1), n)
-    u = [x for r in range(first, n) for x in _transform_row(log, r, diag[r], n)]
-    return ModularSnf(tuple(diag[first:]), IntMatrix(n - first, n, tuple(u)))
+    if any(b % c for c, b in zip(diag, diag[1:]) if c):
+        raise InternalError(f"diagonal {diag} is not a divisibility chain")
+    return diag, row_log, col_log
 
 
 def _transform_row(log, r: int, d: int, n: int) -> list[int]:
-    """Row r of the product of the logged row operations, modulo d.
+    """Row r of the product u of the logged row operations, modulo d (d = 0:
+    over Z).
 
     With u = E_K ... E_1, e_r u is e_r E_K ... E_1: right-multiplying a row
     vector by "row dst += q row src" adds q y[dst] to y[src], and by a swap
-    swaps two entries, so each operation costs O(1).
+    swaps two entries, so each operation costs O(1).  The same loop gives
+    column r of v = C_1 ... C_K from a log of column operations: v e_r is
+    C_1 ... C_K e_r, and "column dst += q column src" applied to a column
+    vector adds q x[dst] to x[src] as well.
     """
     y = [0] * n
-    y[r] = 1 % d
+    y[r] = 1
     for src, dst, q in reversed(log):
         if q is None:
             y[src], y[dst] = y[dst], y[src]
-        else:
+        elif d:
             y[src] = (y[src] + q * y[dst]) % d
+        else:
+            y[src] += q * y[dst]
     return y

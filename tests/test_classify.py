@@ -151,9 +151,8 @@ def test_corrupted_product_witness_is_rejected():
     fa = [companion_matrix(5, 1), companion_matrix(5, 1)]  # BF Z/4, unit 3 each
     fb = [companion_matrix(5, 1), companion_matrix(5, 1)]
     witness = product_isomorphic(fa, fb).witness
-    data_a = [(invariants(f), det_id_minus(f)) for f in fa]
-    data_b = [(invariants(f), det_id_minus(f)) for f in fb]
-    groups = [inv.bf for inv, _ in data_a]
+    data_a, data_b = _checked_invariants(fa), _checked_invariants(fb)
+    groups = [inv.bf for inv in data_a]
     _, tmap = tensor(groups[0], groups[1])
 
     def fold(elems):
@@ -200,10 +199,16 @@ def _fold(groups):
     return acc, fold
 
 
+def _checked_invariants(factors):
+    """invariants of each factor, with det(id - A) checked by det_id_minus."""
+    invs = [invariants(f) for f in factors]
+    assert [inv.det for inv in invs] == [det_id_minus(f) for f in factors]
+    return invs
+
+
 def _check_witness(fa, fb, witness):
-    data_a = [(invariants(f), det_id_minus(f)) for f in fa]
-    data_b = [(invariants(f), det_id_minus(f)) for f in fb]
-    _, fold = _fold([inv.bf for inv, _ in data_a])
+    data_a, data_b = _checked_invariants(fa), _checked_invariants(fb)
+    _, fold = _fold([inv.bf for inv in data_a])
     _verify_product_witness(witness, data_a, data_b, fold)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_factor_list
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
-from groupoid_invariants.fggroup import (FgGroup, GroupHom, _piece_order,
+from groupoid_invariants.fggroup import (FgElement, FgGroup, GroupHom, _piece_order,
                                          canonical_orders, cokernel,
                                          direct_sum, ext_group, is_quotient,
                                          kernel_group, tensor, tor)
@@ -167,6 +167,26 @@ def test_hom_validation_and_composition():
     idg = GroupHom.identity(g)
     assert f.compose(idg) == f
     assert idg.is_isomorphism() and not f.is_isomorphism()
+
+
+def test_hom_images_must_lie_in_the_codomain():
+    z2, z4 = FgGroup.cyclic(2), FgGroup.cyclic(4)
+    with pytest.raises(ValueError):
+        # an element of Z/2 is not an element of Z/4, though 2 * 1 = 0 in both
+        GroupHom(z2, z4, (z2.element((), (1,)),))
+    with pytest.raises(ValueError):
+        GroupHom(z4, z4, (z2.element((), (1,)),))
+    assert not GroupHom(z2, z4, (z4.element((), (2,)),)).is_surjective()
+
+
+def test_element_coordinates_must_match_the_group():
+    with pytest.raises(ValueError):
+        FgElement(FgGroup.cyclic(4), (), (1, 3))
+    with pytest.raises(ValueError):
+        FgElement(FgGroup(1, (4,)), (), (1,))
+    with pytest.raises(ValueError):
+        FgElement(FgGroup(1, ()), (1, 0), ())
+    assert FgElement(FgGroup(1, (4,)), (5,), (3,)).order() == 0
 
 
 def test_element_order():

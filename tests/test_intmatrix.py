@@ -8,7 +8,8 @@ import pytest
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.errors import InternalError
 from groupoid_invariants import fggroup
-from groupoid_invariants.fggroup import FgGroup, GroupHom, cokernel, cokernel_and_kernel
+from groupoid_invariants.fggroup import (FgGroup, GroupHom, cokernel, cokernel_and_kernel,
+                                         kernel_group)
 from groupoid_invariants.intmatrix import (FractionFreeLU, IntMatrix, _inverse_mod,
                                           smith_form_mod_det, smith_normal_form)
 
@@ -66,17 +67,45 @@ def test_snf_determinantal_divisors_random():
         n = rng.randint(1, 4)
         m = IntMatrix(n, n, tuple(rng.randint(-4, 4) for _ in range(n * n)))
         diag = smith_normal_form(m).diagonal()
-        rows = m.to_rows()
-        for k in range(1, n + 1):
-            minors = []
-            for rsel in _subsets(range(n), k):
-                for csel in _subsets(range(n), k):
-                    sub = IntMatrix.from_rows([[rows[i][j] for j in csel] for i in rsel])
-                    minors.append(sub.det())
-            g = 0
-            for x in minors:
-                g = math.gcd(g, x)
-            assert math.prod(diag[:k]) == g
+        assert [math.prod(diag[:k]) for k in range(1, n + 1)] == _minor_gcds(m)
+
+
+def test_snf_clears_the_row_of_a_unit_pivot():
+    # the first pivot is the 1 at (0, 0); only column operations clear the
+    # 5 and 3 beside it, and v must record them
+    m = IntMatrix.from_rows([[1, 5, 3], [2, 4, 7]])
+    snf = smith_normal_form(m)
+    snf_invariants_hold(m, snf)
+    assert snf.diagonal() == (1, 1) and snf.v != IntMatrix.identity(3)
+    grp, basis = kernel_group(m)
+    assert grp == FgGroup.free(1) and not any(m.apply(basis[0]))
+
+
+def _minor_gcds(m):
+    """For k = 1..n, the gcd of the k x k minors of a square m, each minor by
+    IntMatrix.det: the product of the first k invariant factors."""
+    n, rows = m.rows, m.to_rows()
+    return [math.gcd(*(IntMatrix.from_rows([[rows[i][j] for j in csel] for i in rsel]).det()
+                       for rsel in _subsets(range(n), k) for csel in _subsets(range(n), k)))
+            for k in range(1, n + 1)]
+
+
+def test_modular_factors_match_the_determinantal_divisors():
+    # an oracle that shares nothing with the elimination; entries without
+    # many units make pivots that are not units and the divisibility fix-up
+    rng = random.Random(1991)
+    values = (0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -6, 9, 10)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 4)
+        m = IntMatrix(n, n, tuple(rng.choice(values) for _ in range(n * n)))
+        det = m.det()
+        if not det:
+            continue
+        checked += 1
+        factors = smith_form_mod_det(m, det).factors
+        diag = (1,) * (n - len(factors)) + factors
+        assert [math.prod(diag[:k]) for k in range(1, n + 1)] == _minor_gcds(m)
 
 
 def _subsets(pool, k):

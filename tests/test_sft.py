@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import re
 import sys
 import time
 from math import gcd
@@ -35,6 +38,38 @@ def test_validate_examples():
         validate([[0]])
     with pytest.raises(errors.PermutationMatrix):
         validate([[1]])
+
+
+def test_entries_that_are_not_integers_are_rejected():
+    # int() converts both 2.5 and "3", but neither is an integer entry
+    for rows, where in (([[2.5]], "(0, 0)"), ([["3"]], "(0, 0)"),
+                        ([[1, 2], [3, None]], "(1, 1)")):
+        for build in (IntMatrix.from_rows, validate):
+            with pytest.raises(ValueError, match=re.escape(where) + ".*not an integer"):
+                build(rows)
+    assert IntMatrix.from_rows([[True, 2]]).entries == (1, 2)
+
+
+def test_unit_coordinates_of_small_presentations_are_pinned():
+    """BF and unit coordinates of 200 seeded 2-4-vertex SFTs, 10 of them
+    singular, against a fixed digest.  Unit coordinates are meaningful only
+    up to Aut(BF), but the classify benchmark (``bench/workloads.py``)
+    buckets its pairs by them, so a change to the elimination that moves
+    them redraws that corpus; such a change must also update this digest."""
+    rng = random.Random(425)
+    data, singular = [], 0
+    while len(data) < 200:
+        n = rng.randint(2, 4)
+        rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        try:
+            inv = invariants(validate(rows))
+        except errors.SftValidationError:
+            continue
+        singular += inv.det == 0
+        data.append([rows, inv.bf.free_rank, inv.bf.torsion, inv.unit.free, inv.unit.torsion])
+    digest = hashlib.sha256(json.dumps(data).encode()).hexdigest()
+    assert singular == 10
+    assert digest == "927b991ac8fb7eb59fc917811940ee4fcd2c0bc5b3611f474ab87bf7a5798bce"
 
 
 def test_invariants_companion_matrices():
