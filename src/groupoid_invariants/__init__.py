@@ -10,7 +10,7 @@ The package computes, with exact integer arithmetic throughout:
   * canonical forms and the tensor/Tor/Ext calculus of finitely generated
     abelian groups over a coprime base, without Smith normal forms
     (``fggroup``);
-  * automorphism enumeration and orbit decisions on group elements
+  * Aut-orbit decisions, witnesses and orbit listings on group elements
     (``automorphisms``);
   * Bowen-Franks data, homology, K-groups and full-group abelianizations of
     single SFT groupoids (``sft``) and of finite products (``homology``,
@@ -24,8 +24,7 @@ The package computes, with exact integer arithmetic throughout:
 
 from .abelianize import (H0Decomposition, decompose_all, decompose_h0,
                          extension_data, strong_ah, tfg_abelianization)
-from .automorphisms import (aut_orbit_equivalent, aut_orbit_witness,
-                            enumerate_automorphisms, torsion_orbit)
+from .automorphisms import aut_orbit_equivalent, aut_orbit_witness, torsion_orbit
 from .classify import (ClassificationVerdict, ProductWitness,
                        product_isomorphic, sft_isomorphic, sft_morita)
 from .errors import (BoundExceeded, IncompatibleParameters, InternalError,

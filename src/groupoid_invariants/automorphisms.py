@@ -3,15 +3,22 @@
 ``aut_orbit_equivalent`` decides in closed form whether some automorphism
 maps a to b, and ``aut_orbit_witness`` builds one.  Neither is bounded: the
 work is gcds, valuations and a few elementary automorphisms per base element.
-``torsion_orbit`` lists the orbit of an element of a finite group through
-the decision; ``classify`` runs its product search over these orbits.
+``torsion_orbit`` lists the orbit of an element x of a finite group T, over
+which ``classify`` runs its product search: it takes a box that must hold the
+orbit and keeps the box elements the decision accepts.  The box comes from the invariance bullet below: over the coprime base of the d_j
+and the gcd(x_j, d_j), coordinate j of every orbit element is a multiple of
+q^f_j in Z/q^lam_j, where f_j is the least of lam_j and the
+v_i + max(0, lam_j - lam_i) over the minimal kept pairs (v_i, lam_i) of x at
+delta = max lam (a pair above a minimal one gives no less).  The floor is a
+multiple, not a unit times q^f_j: for a base element such as 9, an orbit
+element may have coordinates such as 3 mod 9.
 
 ``enumerate_automorphisms`` exhausts Aut(T) for a finite T by running over
-all generator-image tuples (Hom(Z_d, Z_e) has gcd(d, e) elements) and keeping
-the bijective ones.  The candidate count explodes quickly, so it is guarded
-by configurable bounds and raises ``BoundExceeded`` rather than guessing.
-No library code calls it; it is kept for the benchmark tracer, which times
-it by name, and for the brute-force oracles of the tests.
+all generator-image tuples (Hom(Z_d, Z_e) is the multiples of e / gcd(d, e))
+and keeping the bijective ones.  The candidate count explodes quickly, so it
+is guarded by configurable bounds and raises ``BoundExceeded`` rather than
+guessing.  No library code calls it; it is kept for the benchmark tracer,
+which times it by name, and for the brute-force oracles of the tests.
 
 Free part.  Hom(T, Z^r) = 0 makes every automorphism of Z^r (+) T lower
 triangular, (f, t) -> (M f, psi(t) + phi(f)) with phi: Z^r -> T arbitrary.
@@ -55,6 +62,7 @@ together by CRT; the free part then solves c w = t' - psi(t) in T.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 from typing import Iterator
 
@@ -75,16 +83,21 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return snf.v @ snf.u
 
 
-def torsion_orbit(group: FgGroup, elem: FgElement,
-                  order_bound: int = DEFAULT_ORDER_BOUND) -> frozenset[tuple[int, ...]]:
+def torsion_orbit(group: FgGroup, elem: FgElement) -> frozenset[tuple[int, ...]]:
     """Aut(T)-orbit of an element of a finite group, as torsion coordinate
-    tuples; order_bound caps the group order, since every element is tried."""
+    tuples: the box of the module docstring, filtered by the decision."""
     if not group.is_finite:
         raise ValueError("torsion_orbit needs a finite group")
-    if group.order() > order_bound:
-        raise BoundExceeded(f"group order {group.order()} exceeds bound {order_bound}")
-    return frozenset(x.torsion for x in group.elements()
-                     if aut_orbit_equivalent(group, elem, x))
+    ds, x = group.torsion, elem.torsion
+    steps = [1] * len(ds)
+    for q in _coprime_base([*ds, *(gcd(c, d) for c, d in zip(x, ds))]):
+        lam = [_valuation(d, q) for d in ds]
+        pairs, _ = _normalise(q, lam, max(lam), x)
+        for j, l in enumerate(lam):
+            steps[j] *= q ** min([l, *(v + max(0, l - m) for v, m in pairs)])
+    box = product(*(range(0, d, s) for d, s in zip(ds, steps)))
+    return frozenset(y for y in box
+                     if aut_orbit_equivalent(group, elem, group.element((), y)))
 
 
 def aut_orbit_equivalent(g: FgGroup, a: FgElement, b: FgElement) -> bool:
@@ -244,7 +257,6 @@ def enumerate_automorphisms(t: FgGroup,
     if t.order() > order_bound:
         raise BoundExceeded(f"group order {t.order()} exceeds bound {order_bound}")
     ds = t.torsion
-    s = len(ds)
     total = 1
     for di in ds:
         for dj in ds:
@@ -252,36 +264,10 @@ def enumerate_automorphisms(t: FgGroup,
             if total > candidate_bound:
                 raise BoundExceeded(
                     f"candidate endomorphism count exceeds bound {candidate_bound}")
-    if s == 0:
-        yield GroupHom.identity(t)
-        return
-
-    def candidates(i):
-        di = ds[i]
-        choice_sets = []
-        for dj in ds:
-            g = gcd(di, dj)
-            step = dj // g
-            choice_sets.append([m * step for m in range(g)])
-        def rec(j, acc):
-            if j == s:
-                yield t.element((), tuple(acc))
-                return
-            for c in choice_sets[j]:
-                acc.append(c)
-                yield from rec(j + 1, acc)
-                acc.pop()
-        yield from rec(0, [])
-
-    def build(i, imgs):
-        if i == s:
-            hom = GroupHom(t, t, tuple(imgs))
-            if hom.is_surjective():
-                yield hom
-            return
-        for img in candidates(i):
-            imgs.append(img)
-            yield from build(i + 1, imgs)
-            imgs.pop()
-
-    yield from build(0, [])
+    images = [[t.element((), img)
+               for img in product(*(range(0, dj, dj // gcd(di, dj)) for dj in ds))]
+              for di in ds]
+    for imgs in product(*images):
+        hom = GroupHom(t, t, imgs)
+        if hom.is_surjective():
+            yield hom

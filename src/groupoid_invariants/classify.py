@@ -38,10 +38,11 @@ automorphism tuples:
   factors' tensor product.
 
 The identity tuple is tried first, since it settles most positives; the
-layers are built once per call and serve every permutation.  The search is
-bounded: ``order_bound`` caps each |BF_i| whose orbit ``torsion_orbit``
-lists, and ``candidate_bound`` caps the tensor products it evaluates, the
-sum of |S_(k-1)| |Orb(u_k)|; past either, ``BoundExceeded`` states the work
+layers are built once per call and serve every permutation.  Each orbit
+is listed by ``torsion_orbit`` from its structure, at a cost that grows with
+a box around the orbit and not with |BF_i|, so the one bound is
+``candidate_bound``: it caps the tensor products the search evaluates, the
+sum of |S_(k-1)| |Orb(u_k)|, and past it ``BoundExceeded`` states the work
 reached.  Infinite BF groups raise ``BoundExceeded`` before any search.
 """
 
@@ -50,9 +51,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automorphisms import (DEFAULT_CANDIDATE_BOUND, DEFAULT_ORDER_BOUND,
-                            aut_orbit_equivalent, aut_orbit_witness,
-                            torsion_orbit)
+from .automorphisms import (DEFAULT_CANDIDATE_BOUND, aut_orbit_equivalent,
+                            aut_orbit_witness, torsion_orbit)
 from .errors import BoundExceeded, InternalError
 from .fggroup import FgElement, GroupHom, tensor
 from .sft import SftMatrix, invariants
@@ -113,7 +113,6 @@ def sft_morita(a: SftMatrix, b: SftMatrix) -> bool:
 
 
 def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
-                       order_bound: int = DEFAULT_ORDER_BOUND,
                        candidate_bound: int = DEFAULT_CANDIDATE_BOUND) -> ClassificationVerdict:
     """Decide isomorphism of two products of SFT groupoids."""
     if not factors_a or not factors_b:
@@ -167,7 +166,7 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
         if not aut_orbit_equivalent(acc, lhs, rhs):
             continue
         if layers is None:
-            layers = _orbit_layers(groups, units_a, maps, order_bound, candidate_bound)
+            layers = _orbit_layers(groups, units_a, maps, candidate_bound)
         if rhs.torsion not in layers[-1]:
             continue
         images = _walk_back(layers, rhs.torsion)
@@ -182,11 +181,11 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
         "tuple carrying the tensor of unit classes to the tensor of unit classes")
 
 
-def _orbit_layers(groups, units, maps, order_bound, candidate_bound):
+def _orbit_layers(groups, units, maps, candidate_bound):
     """The layers S_1, ..., S_n of the module docstring, each a dict from the
     torsion coordinates of a value to one (previous value, orbit element)
     pair that reaches it; S_1 maps each orbit element to (None, itself)."""
-    orbits = [sorted(torsion_orbit(g, u, order_bound)) for g, u in zip(groups, units)]
+    orbits = [sorted(torsion_orbit(g, u)) for g, u in zip(groups, units)]
     layer = {v: (None, v) for v in orbits[0]}
     layers = [layer]
     work = 0

@@ -303,6 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)  # the defaults read the environment
+        if args.aut_bound < 0:
+            raise errors.ParseError(
+                f"--aut-bound (GI_AUT_BOUND) must be >= 0, not {args.aut_bound}")
         return args.fn(args)
     except (errors.ParseError, errors.SftValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,8 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import gcd, prod
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalError
@@ -119,7 +120,7 @@ def canonical_orders(orders: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     Refines the nonzero orders into a coprime base and merges the sorted
     exponent columns (see the module docstring).
     """
-    vals = [abs(int(o)) for o in orders]
+    vals = [abs(index(o)) for o in orders]
     columns = _coprime_columns(vals)
     # the r-th largest exponents of all base elements multiply to the r-th
     # largest invariant factor
@@ -189,22 +190,14 @@ class FgGroup:
     def element(self, free: Sequence[int] = (), torsion: Sequence[int] = ()) -> "FgElement":
         if len(free) != self.free_rank or len(torsion) != len(self.torsion):
             raise ValueError("coordinate count mismatch")
-        red = tuple(int(c) % d for c, d in zip(torsion, self.torsion))
-        return FgElement(self, tuple(int(c) for c in free), red)
+        red = tuple(index(c) % d for c, d in zip(torsion, self.torsion))
+        return FgElement(self, tuple(map(index, free)), red)
 
     def elements(self):
         """Iterate all elements; only valid for finite groups."""
         if not self.is_finite:
             raise ValueError("infinite group")
-        def rec(i, acc):
-            if i == len(self.torsion):
-                yield self.element((), tuple(acc))
-                return
-            for c in range(self.torsion[i]):
-                acc.append(c)
-                yield from rec(i + 1, acc)
-                acc.pop()
-        yield from rec(0, [])
+        return (self.element((), c) for c in product(*map(range, self.torsion)))
 
     def __str__(self):
         parts = []

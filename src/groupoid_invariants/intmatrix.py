@@ -83,7 +83,7 @@ class IntMatrix:
         cols = n if cols is None else cols
         ent = [0] * (rows * cols)
         for i, x in enumerate(d):
-            ent[i * cols + i] = int(x)
+            ent[i * cols + i] = index(x)
         return cls(rows, cols, tuple(ent))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:

@@ -30,12 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product as iproduct
-from math import prod
+from itertools import chain, permutations, product as iproduct
+from math import gcd, prod
 from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import BoundExceeded, IncompatibleParameters, InternalError, ParseError
+from .intmatrix import IntMatrix, smith_normal_form
 
 MAX_WORD_DEPTH = 64
 
@@ -549,23 +550,21 @@ class CharacterAssignment:
     def generates_target(self) -> bool:
         """True iff the values on the index-block probes (differences of
         splitting generators and conjugated transpositions) generate Z/m."""
-        from math import gcd
-        g = gcd(self.target_order, self.t)
-        for a in self.x:
-            for b in self.x:
-                g = gcd(g, a - b)
-        return g == 1
+        return gcd(self.target_order, self.t, *(a - self.x[0] for a in self.x)) == 1
 
 
-def character_search(n: int, k, target_order: int,
-                     assignment_bound: int = 10 ** 6) -> list[CharacterAssignment]:
-    """All Z/m characters of the generator-relation system.
+def character_search(n: int, k, target_order: int) -> list[CharacterAssignment]:
+    """All Z/m characters of the generator-relation system, sorted by (t, x).
 
     The relations reduce, using one unknown per coordinate plus one shared
     transposition value (index independence is forced once 2t = 0 holds), to
       2t = 0,  (k(d)-1) t = 0,
       (k(d)-1) x_{d'} - (k(d')-1) x_d = parity(alpha_{d,d'}) t   for d != d',
-    which is solved exhaustively over Z/m.
+    a system R y = 0 over Z/m in y = (x, t).  With u R v = S in Smith normal
+    form, u and v are invertible over Z and so modulo m, hence R y = 0 iff
+    S z = 0 for z = v^-1 y, that is iff each z_i is a multiple of
+    m / gcd(s_i, m) (s_i = 0 past the rank).  So the solutions are y = v z mod m
+    over those z, each exactly once.
     """
     if target_order < 2:
         raise ParseError("target_order must be >= 2")
@@ -573,21 +572,15 @@ def character_search(n: int, k, target_order: int,
     if len(arities) != n:
         raise ParseError("arity list length must equal n")
     m = target_order
-    if m ** n > assignment_bound:
-        raise BoundExceeded("assignment space larger than the configured bound")
-    eps = {(d, dp): alpha_parity(d, dp, arities)
-           for d in range(1, n + 1) for dp in range(1, n + 1) if d != dp}
-    t_candidates = [t for t in range(m)
-                    if 2 * t % m == 0 and all((kd - 1) * t % m == 0 for kd in arities)]
-    out = []
-    for t in t_candidates:
-        for xs in iproduct(range(m), repeat=n):
-            ok = True
-            for (d, dp), e in eps.items():
-                kd, kdp = arities[d - 1], arities[dp - 1]
-                if ((kd - 1) * xs[dp - 1] - (kdp - 1) * xs[d - 1] - e * t) % m:
-                    ok = False
-                    break
-            if ok:
-                out.append(CharacterAssignment(m, xs, t))
-    return out
+    rows = [[0] * n + [2]] + [[0] * n + [kd - 1] for kd in arities]
+    for d, dp in permutations(range(n), 2):
+        row = [0] * (n + 1)
+        row[dp], row[d] = arities[d] - 1, 1 - arities[dp]
+        row[n] = -alpha_parity(d + 1, dp + 1, arities)
+        rows.append(row)
+    # n^2 + 1 >= n + 1 rows, so the diagonal has an entry per unknown
+    snf = smith_normal_form(IntMatrix.from_rows(rows))
+    sols = (tuple(c % m for c in snf.v.apply(z))
+            for z in iproduct(*(range(0, m, m // gcd(s, m)) for s in snf.diagonal())))
+    return [CharacterAssignment(m, y[:n], y[n])
+            for y in sorted(sols, key=lambda y: (y[n], y[:n]))]

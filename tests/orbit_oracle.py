@@ -7,10 +7,15 @@ generate Aut(T_p) (Gaussian elimination), so the closure of an element under
 them is its full orbit.  Mixed groups Z^r (+) T use the lower-triangular
 reduction: equal contents c of the free parts, and some element of the orbit
 of the torsion part congruent to the other torsion part modulo cT.
+
+``brute_torsion_orbit`` lists an orbit by running the library's closed-form
+decision on every element of the group, so its cost is the group's order.
 """
 
 from dataclasses import dataclass
 from math import gcd
+
+from groupoid_invariants.automorphisms import aut_orbit_equivalent
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -115,3 +120,9 @@ def bfs_orbit_equivalent(g, a, b) -> bool:
     mods = [gcd(c, s.modulus) for s in view.slots]
     return any(all((y - x) % m == 0 for x, y, m in zip(orb, bt, mods))
                for orb in bfs_orbit(view, view.to_primary(a.torsion)))
+
+
+def brute_torsion_orbit(group, elem) -> frozenset[tuple[int, ...]]:
+    """Aut(T)-orbit of an element of a finite group, by deciding every element."""
+    return frozenset(x.torsion for x in group.elements()
+                     if aut_orbit_equivalent(group, elem, x))

@@ -8,12 +8,18 @@ quadratic in the bricks per index; keep the tables small.
 
 ``oracle_compose(f, g)`` is f after g, with every entry of g matched against
 every entry of f at its target index by prefix tests.
+
+``oracle_characters(n, k, m)`` solves the reduced character system of
+``tables.character_search`` by trying all m^n values of x for every
+admissible t, in (t, x) order.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from groupoid_invariants.errors import BoundExceeded
-from groupoid_invariants.tables import MAX_WORD_DEPTH, Brick, TableElement
+from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, CharacterAssignment,
+                                        TableElement, alpha_parity)
 
 
 def mass(brick, arities) -> Fraction:
@@ -94,3 +100,19 @@ def oracle_compose(f, g) -> TableElement:
                 out.append((Brick(tuple(w + t for w, t in zip(src.words, src_tails)), src.index),
                             Brick(tuple(w + t for w, t in zip(fdst.words, dst_tails)), fdst.index)))
     return TableElement(f.arities, bound, f.offset + g.offset, tuple(out))
+
+
+def oracle_characters(n, k, m) -> list[CharacterAssignment]:
+    """Every solution in Z/m of the reduced character system, by exhaustion."""
+    arities = tuple(k)
+    eps = {(d, dp): alpha_parity(d, dp, arities)
+           for d in range(1, n + 1) for dp in range(1, n + 1) if d != dp}
+    t_candidates = [t for t in range(m)
+                    if 2 * t % m == 0 and all((kd - 1) * t % m == 0 for kd in arities)]
+    out = []
+    for t in t_candidates:
+        for xs in product(range(m), repeat=n):
+            if all(((arities[d - 1] - 1) * xs[dp - 1] - (arities[dp - 1] - 1) * xs[d - 1]
+                    - e * t) % m == 0 for (d, dp), e in eps.items()):
+                out.append(CharacterAssignment(m, xs, t))
+    return out

@@ -5,7 +5,8 @@ whose images generate) is re-implemented here from scratch on top of element
 arithmetic only, as is the |Aut| formula for p-groups, so agreement is a real
 cross-check of the library's enumeration and closed-form orbit decision.  The
 orbit search over elementary automorphisms in ``orbit_oracle`` is a second,
-faster oracle for the orbit decision.
+faster oracle for the orbit decision, and its listing of every element the
+decision accepts is the oracle of ``torsion_orbit``.
 """
 
 import random
@@ -22,8 +23,8 @@ from groupoid_invariants.automorphisms import (aut_orbit_equivalent,
                                                enumerate_automorphisms,
                                                torsion_orbit)
 from groupoid_invariants.errors import BoundExceeded
-from groupoid_invariants.fggroup import FgGroup
-from orbit_oracle import bfs_orbit_equivalent, factorint
+from groupoid_invariants.fggroup import FgGroup, _coprime_base
+from orbit_oracle import bfs_orbit_equivalent, brute_torsion_orbit, factorint
 
 
 def euler_phi(n):
@@ -137,6 +138,46 @@ def test_orbits_match_exhaustive_enumeration_small():
         oracle = oracle_orbit_partition(group)
         for e in group.elements():
             assert torsion_orbit(group, e) == oracle[e.torsion], orders
+
+
+def test_torsion_orbit_matches_brute_force_oracle():
+    rng = random.Random(1905)
+    checked = composite = 0
+    while checked < 2000:
+        group = FgGroup.from_orders([rng.randint(2, 60) for _ in range(rng.randint(1, 3))])
+        if group.order() > 200:
+            continue
+        elems = list(group.elements())
+        oracle = {}
+        for e in rng.sample(elems, min(40, len(elems))):
+            if e.torsion not in oracle:
+                orbit = brute_torsion_orbit(group, e)
+                oracle.update(dict.fromkeys(orbit, orbit))
+            assert torsion_orbit(group, e) == oracle[e.torsion], (group, e)
+            base = _coprime_base([*group.torsion,
+                                  *(gcd(c, d) for c, d in zip(e.torsion, group.torsion))])
+            composite += any(sum(factorint(q).values()) > 1 for q in base)
+            checked += 1
+    assert composite > 100
+
+
+def test_torsion_orbit_keeps_non_unit_multiples_of_a_composite_base():
+    # the coprime base is {2, 9}: orbit elements of (1, 46) have coordinates
+    # such as 3 mod 9, which are no unit times a power of 9
+    group = FgGroup.from_orders([36, 72])
+    a = group.element((), (1, 46))
+    orbit = torsion_orbit(group, a)
+    assert len(orbit) == 576 and orbit == brute_torsion_orbit(group, a)
+    assert any(y[0] % 9 == 3 for y in orbit)
+
+
+def test_torsion_orbit_costs_the_orbit_not_the_group():
+    # |T| = 80000; the orbit of (0, 0, 5000) is (0, 0, +-5000)
+    group = FgGroup.from_orders([2, 2, 20000])
+    t0 = time.perf_counter()
+    orbit = torsion_orbit(group, group.element((), (0, 0, 5000)))
+    assert time.perf_counter() - t0 < 1.0
+    assert orbit == {(0, 0, 5000), (0, 0, 15000)}
 
 
 def test_orbit_equivalence_is_equivalence_relation():

@@ -7,9 +7,12 @@ not use the library's reduced equations or the grid parity.  It is not fully
 independent, though: like the library it assigns one value per coordinate to
 the splitting generators and one shared value to all transpositions, and it
 checks the relations at small indices only.  The character-count identity
-against ``tfg_abelianization`` shares no reduction with the library.
+against ``tfg_abelianization`` shares no reduction with the library.  The
+exhaustive oracle of ``table_oracle`` solves the same reduced system by
+trying every assignment, and pins the order of the list.
 """
 
+import random
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 from math import gcd, prod
@@ -17,10 +20,9 @@ from math import gcd, prod
 import pytest
 
 from groupoid_invariants.abelianize import tfg_abelianization
-from groupoid_invariants.errors import BoundExceeded
 from groupoid_invariants.sft import validate
-from groupoid_invariants.tables import (CharacterAssignment, alpha_word,
-                                        character_search)
+from groupoid_invariants.tables import alpha_word, character_search
+from table_oracle import oracle_characters
 
 
 def _relation_word_differences(n, arities, index_bound=3):
@@ -151,6 +153,23 @@ def test_character_count_matches_full_shift_abelianization(n):
                 (arities, m, ab)
 
 
-def test_assignment_bound():
-    with pytest.raises(BoundExceeded):
-        character_search(4, (3, 3, 3, 3), 100, assignment_bound=10)
+def test_search_matches_exhaustive_oracle_in_order():
+    rng = random.Random(1512)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        arities = tuple(rng.randint(2, 7) for _ in range(n))
+        m = rng.randint(2, 12)
+        assert character_search(n, arities, m) == oracle_characters(n, arities, m), \
+            (arities, m)
+
+
+def test_five_coordinates_past_the_exhaustive_wall():
+    # 20^5 values of x per t: the count follows the abelianization identity
+    # of test_character_count_matches_full_shift_abelianization
+    arities, m = (3,) * 5, 20
+    found = character_search(5, arities, m)
+    ab = tfg_abelianization([validate([[k]]) for k in arities])
+    assert len(found) == m * prod(gcd(order, m) if order else m
+                                  for order in ab.orders()) == 320
+    assert len({(a.x, a.t) for a in found}) == 320
+    assert found == sorted(found, key=lambda a: (a.t, a.x))

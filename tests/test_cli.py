@@ -107,16 +107,30 @@ def test_classify_past_the_automorphism_tuple_wall(capsys):
     assert not doc["witness"]["identity"] and len(doc["witness"]["homs"]) == 2
 
 
+# units (1, 2) (x) u against (1, 0) (x) u in (Z/2 + Z/4) (x) Z/4, u a
+# generator: the layered search evaluates |Orb((1, 2))| * |Orb(u)| = 4
+# tensor products
+TINY_A = '{"factors": [[[0,1,0],[1,0,2],[1,3,3]], [[5]]]}'
+TINY_B = '{"factors": [[[3,3,1],[0,3,2],[2,2,3]], [[5]]]}'
+
+
 def test_tiny_aut_bound_exits_bound_with_the_work_reached(capsys):
-    # units (1, 2) (x) u against (1, 0) (x) u in (Z/2 + Z/4) (x) Z/4, u a
-    # generator: the layered search evaluates |Orb((1, 2))| * |Orb(u)| = 4
-    # tensor products
-    doc_a = '{"factors": [[[0,1,0],[1,0,2],[1,3,3]], [[5]]]}'
-    doc_b = '{"factors": [[[3,3,1],[0,3,2],[2,2,3]], [[5]]]}'
-    assert run(capsys, "classify", doc_a, doc_b)[0] == 0
-    code, out, err = run(capsys, "--aut-bound", "3", "classify", doc_a, doc_b)
+    assert run(capsys, "classify", TINY_A, TINY_B)[0] == 0
+    code, out, err = run(capsys, "--aut-bound", "3", "classify", TINY_A, TINY_B)
     assert code == 3 and out == ""
     assert "needs 4 tensor products" in err and "bound 3" in err
+
+
+def test_negative_aut_bound_is_an_input_error(capsys, monkeypatch):
+    code, out, err = run(capsys, "--aut-bound", "-5", "classify", TINY_A, TINY_B)
+    assert code == 2 and out == "" and "--aut-bound" in err and "-5" in err
+    monkeypatch.setenv("GI_AUT_BOUND", "-1")
+    code, _, err = run(capsys, "classify", TINY_A, TINY_B)
+    assert code == 2 and "GI_AUT_BOUND" in err
+    monkeypatch.delenv("GI_AUT_BOUND")
+    # 0 is a bound: the search stops before its first tensor product
+    code, _, err = run(capsys, "--aut-bound", "0", "classify", TINY_A, TINY_B)
+    assert code == 3 and "bound 0" in err
 
 
 def test_morita(capsys):

@@ -189,6 +189,19 @@ def test_element_coordinates_must_match_the_group():
     assert FgElement(FgGroup(1, (4,)), (5,), (3,)).order() == 0
 
 
+def test_orders_and_coordinates_must_be_integers():
+    for bad in (4.7, 4.0, "4"):
+        with pytest.raises(TypeError):
+            FgGroup.from_orders([2, bad])
+        with pytest.raises(TypeError):
+            FgGroup.cyclic(bad)
+    g = FgGroup(1, (6,))
+    for free, torsion in (((1,), (2.5,)), ((1.0,), (2,)), (("1",), (2,))):
+        with pytest.raises(TypeError):
+            g.element(free, torsion)
+    assert g.element((-1,), (8,)).coords() == (-1, 2)
+
+
 def test_element_order():
     g = FgGroup(1, (2, 6))
     assert g.element((0,), (1, 2)).order() == 6

@@ -164,6 +164,13 @@ def test_matrix_basics():
         IntMatrix(2, 2, (1, 2, 3))
 
 
+def test_diagonal_entries_must_be_integers():
+    assert IntMatrix.diagonal([2, 3], 2, 3) == IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            IntMatrix.diagonal([bad, 3])
+
+
 def _random_unimodular(rng, n, steps=24):
     rows = IntMatrix.identity(n).to_rows()
     for _ in range(steps):
