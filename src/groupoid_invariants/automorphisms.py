@@ -92,7 +92,7 @@ def torsion_orbit(group: FgGroup, elem: FgElement) -> frozenset[tuple[int, ...]]
     steps = [1] * len(ds)
     for q in _coprime_base([*ds, *(gcd(c, d) for c, d in zip(x, ds))]):
         lam = [_valuation(d, q) for d in ds]
-        pairs, _ = _normalise(q, lam, max(lam), x)
+        pairs = _minimal_pairs(q, lam, max(lam), x)[0]
         for j, l in enumerate(lam):
             steps[j] *= q ** min([l, *(v + max(0, l - m) for v, m in pairs)])
     box = product(*(range(0, d, s) for d, s in zip(ds, steps)))
@@ -127,10 +127,14 @@ def _orbit_decision(g, a, b, want_witness):
     for q in base:
         lam = [_valuation(d, q) for d in ds]
         delta = _valuation(gcd(c, ds[-1]), q)
-        (key_a, ops_a), (key_b, ops_b) = (_normalise(q, lam, delta, e.torsion) for e in (a, b))
+        if want_witness:
+            (key_a, ops_a), (key_b, ops_b) = (_normalise(q, lam, delta, e.torsion)
+                                              for e in (a, b))
+            parts.append((q, lam, ops_a, ops_b))
+        else:
+            key_a, key_b = (_minimal_pairs(q, lam, delta, e.torsion)[0] for e in (a, b))
         if key_a != key_b:
             return None
-        parts.append((q, lam, ops_a, ops_b))
     if not want_witness:
         return True
     return _assemble_witness(g, a, b, c, _torsion_witness(FgGroup(0, ds), parts))
@@ -141,10 +145,9 @@ def _below(lo, hi) -> bool:
     return lo[0] <= hi[0] and hi[1] - hi[0] <= lo[1] - lo[0]
 
 
-def _normalise(q, lam, delta, coords):
-    """The sorted minimal kept pairs of coords at base element q, and the
-    elementary automorphisms of T_q that carry coords to the canonical
-    representative modulo q^delta T_q, in the order they apply."""
+def _minimal_pairs(q, lam, delta, coords):
+    """The sorted minimal kept pairs of coords at base element q, with the
+    kept pairs by slot and the slots of the minimal ones."""
     kept = {}
     for j, (x, l) in enumerate(zip(coords, lam)):
         if l:
@@ -158,6 +161,14 @@ def _normalise(q, lam, delta, coords):
                    for i in kept)
 
     mins = [j for j in kept if not dominated(j)]
+    return sorted(kept[i] for i in mins), kept, mins
+
+
+def _normalise(q, lam, delta, coords):
+    """The sorted minimal kept pairs of coords at base element q, and the
+    elementary automorphisms of T_q that carry coords to the canonical
+    representative modulo q^delta T_q, in the order they apply."""
+    key, kept, mins = _minimal_pairs(q, lam, delta, coords)
     ops = []
     for j, (v, l) in kept.items():
         w = coords[j] // q ** v
@@ -170,7 +181,7 @@ def _normalise(q, lam, delta, coords):
         first = lam.index(kept[i][1])
         if first != i:
             ops.append(("swap", i, first))
-    return sorted(kept[i] for i in mins), ops
+    return key, ops
 
 
 def _act(ops, vec, mods, inverse=False):

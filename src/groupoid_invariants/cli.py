@@ -12,11 +12,19 @@ error (a failed consistency check or any other uncaught exception; the
 traceback goes to stderr).  Input errors are the ``ParseError`` and
 ``SftValidationError`` raised while parsing and validating documents and
 parameters; any other ``ValueError`` is a defect and exits 4.
+
+``main`` builds its argument parser once per process, on its first call, and
+reads ``GI_AUT_BOUND`` and ``GI_INDEX_BOUND`` on every call, so the parser
+holds no value from the environment; a flag on the command line overrides
+the variable.  The handler of a command is looked up by name at call time:
+``_cmd_`` and the command with ``-`` read as ``_``.  ``main`` returns its
+exit code and never raises it, usage errors (2) and ``--help`` (0) included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -250,63 +258,64 @@ def _cmd_baker_check(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gi",
         description="Exact invariants of products of SFT groupoids.")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--aut-bound", type=int,
-                   default=_env_int("GI_AUT_BOUND", DEFAULT_CANDIDATE_BOUND),
-                   help="cap on the tensor products that classify's unit-orbit "
-                        "search evaluates (default GI_AUT_BOUND, else %(default)s)")
+                   help="cap on the tensor products that classify's unit-orbit search "
+                        f"evaluates (default GI_AUT_BOUND, else {DEFAULT_CANDIDATE_BOUND})")
     p.add_argument("--index-bound", type=int,
-                   default=_env_int("GI_INDEX_BOUND", 5),
                    help="largest generator index instantiated in relation checks")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def one_input(name, fn, help_):
-        sp = sub.add_parser(name, help=help_)
-        sp.add_argument("input", help="JSON file path or inline JSON")
-        sp.set_defaults(fn=fn)
-        return sp
+    for name, help_ in (
+            ("validate", "check the factor matrices are admissible"),
+            ("invariants", "per-factor BF group, unit, det sign, homology"),
+            ("homology", "graded homology of the product groupoid"),
+            ("k-groups", "K-groups of the product C*-algebra"),
+            ("hk-check", "compare summed homology against K-groups"),
+            ("abelianization", "full-group abelianization of the product"),
+            ("strong-ah", "left-exactness test for the abelianization sequence")):
+        sub.add_parser(name, help=help_).add_argument(
+            "input", help="JSON file path or inline JSON")
 
-    one_input("validate", _cmd_validate, "check the factor matrices are admissible")
-    one_input("invariants", _cmd_invariants, "per-factor BF group, unit, det sign, homology")
-    one_input("homology", _cmd_homology, "graded homology of the product groupoid")
-    one_input("k-groups", _cmd_k_groups, "K-groups of the product C*-algebra")
-    one_input("hk-check", _cmd_hk_check, "compare summed homology against K-groups")
-    one_input("abelianization", _cmd_abelianization, "full-group abelianization of the product")
-    one_input("strong-ah", _cmd_strong_ah, "left-exactness test for the abelianization sequence")
-
-    for name, fn, help_ in (("classify", _cmd_classify, "decide isomorphism of two products"),
-                            ("morita", _cmd_morita, "decide Morita equivalence of two SFTs")):
+    for name, help_ in (("classify", "decide isomorphism of two products"),
+                        ("morita", "decide Morita equivalence of two SFTs")):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("input_a")
         sp.add_argument("input_b")
-        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("relations-check", help="verify the defining relations of W_{n,k}")
     sp.add_argument("--arities", required=True, help="comma-separated k(1),...,k(n)")
-    sp.set_defaults(fn=_cmd_relations_check)
 
     sp = sub.add_parser("character-search", help="finite cyclic characters of W_{n,k}")
     sp.add_argument("--arities", required=True)
     sp.add_argument("--target-order", type=int, required=True)
-    sp.set_defaults(fn=_cmd_character_search)
 
     sp = sub.add_parser("baker-check", help="two-coordinate interleaving map composition law")
     sp.add_argument("--arities", required=True)
-    sp.set_defaults(fn=_cmd_baker_check)
     return p
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)  # the defaults read the environment
+        aut_bound = _env_int("GI_AUT_BOUND", DEFAULT_CANDIDATE_BOUND)
+        index_bound = _env_int("GI_INDEX_BOUND", 5)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # usage error or --help, already printed
+            return exc.code
+        if args.aut_bound is None:
+            args.aut_bound = aut_bound
+        if args.index_bound is None:
+            args.index_bound = index_bound
         if args.aut_bound < 0:
             raise errors.ParseError(
                 f"--aut-bound (GI_AUT_BOUND) must be >= 0, not {args.aut_bound}")
-        return args.fn(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (errors.ParseError, errors.SftValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,60 @@ def test_bad_environment_defaults_exit_input(capsys, monkeypatch):
     monkeypatch.delenv("GI_INDEX_BOUND")
     monkeypatch.setenv("GI_AUT_BOUND", "1e7")
     assert run(capsys, "validate", '{"factors": [[[2]]]}')[0] == 2
+
+
+def test_main_returns_usage_and_help_codes_instead_of_raising(capsys):
+    for argv in (["bogus"], ["--aut-bound", "x", "validate", "{}"], ["classify", "{}"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("usage: gi")
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: gi") and err == ""
+    assert str(cli.DEFAULT_CANDIDATE_BOUND) in out
+
+
+def test_env_aut_bound_is_read_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("GI_AUT_BOUND", "3")
+    code, _, err = run(capsys, "classify", TINY_A, TINY_B)
+    assert code == 3 and "bound 3" in err
+    monkeypatch.delenv("GI_AUT_BOUND")
+    assert run(capsys, "classify", TINY_A, TINY_B)[0] == 0
+
+
+def test_index_bound_flag_does_not_leak_into_the_next_call(capsys, monkeypatch):
+    monkeypatch.delenv("GI_INDEX_BOUND", raising=False)
+    _, flagged, _ = run(capsys, "--index-bound", "2", "relations-check", "--arities", "2,2")
+    code, unflagged, _ = run(capsys, "relations-check", "--arities", "2,2")
+    _, default, _ = run(capsys, "--index-bound", "5", "relations-check", "--arities", "2,2")
+    assert code == 0 and unflagged == default != flagged
+
+
+def test_malformed_env_index_bound_exits_input_on_any_command(capsys, monkeypatch):
+    monkeypatch.setenv("GI_INDEX_BOUND", "2.5")
+    code, out, err = run(capsys, "validate", '{"factors": [[[2]]]}')
+    assert code == 2 and out == "" and "GI_INDEX_BOUND" in err
+
+
+def test_calls_share_one_parser(capsys, monkeypatch):
+    parser = cli._build_parser()
+    seen = []
+
+    def spy(argv):
+        seen.append(argv)
+        return type(parser).parse_args(parser, argv)
+    monkeypatch.setattr(parser, "parse_args", spy)
+    assert run(capsys, "validate", '{"factors": [[[2]]]}')[0] == 0
+    assert run(capsys, "--format", "json", "validate", '{"factors": [[[3]]]}')[0] == 0
+    assert len(seen) == 2 and cli._build_parser() is parser
+
+
+def test_console_path_exit_codes():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GI_")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parent.parent)
+    cmd = [sys.executable, "-m", "groupoid_invariants.cli"]
+    done = subprocess.run([*cmd, "--help"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0 and done.stdout.startswith("usage: gi")
+    done = subprocess.run([*cmd, "bogus"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("usage: gi")
