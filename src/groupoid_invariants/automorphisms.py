@@ -86,6 +86,12 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 def torsion_orbit(group: FgGroup, elem: FgElement) -> frozenset[tuple[int, ...]]:
     """Aut(T)-orbit of an element of a finite group, as torsion coordinate
     tuples: the box of the module docstring, filtered by the decision."""
+    return frozenset(_orbit_elements(group, elem))
+
+
+def _orbit_elements(group: FgGroup, elem: FgElement) -> Iterator[tuple[int, ...]]:
+    """The elements of ``torsion_orbit`` one at a time, in lexicographic
+    order (the box's), so that a caller can stop listing early."""
     if not group.is_finite:
         raise ValueError("torsion_orbit needs a finite group")
     ds, x = group.torsion, elem.torsion
@@ -96,8 +102,7 @@ def torsion_orbit(group: FgGroup, elem: FgElement) -> frozenset[tuple[int, ...]]
         for j, l in enumerate(lam):
             steps[j] *= q ** min([l, *(v + max(0, l - m) for v, m in pairs)])
     box = product(*(range(0, d, s) for d, s in zip(ds, steps)))
-    return frozenset(y for y in box
-                     if aut_orbit_equivalent(group, elem, group.element((), y)))
+    return (y for y in box if aut_orbit_equivalent(group, elem, group.element((), y)))
 
 
 def aut_orbit_equivalent(g: FgGroup, a: FgElement, b: FgElement) -> bool:

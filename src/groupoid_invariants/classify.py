@@ -39,11 +39,13 @@ automorphism tuples:
 
 The identity tuple is tried first, since it settles most positives; the
 layers are built once per call and serve every permutation.  Each orbit
-is listed by ``torsion_orbit`` from its structure, at a cost that grows with
-a box around the orbit and not with |BF_i|, so the one bound is
+is listed as ``torsion_orbit`` lists it, from its structure, at a cost that
+grows with a box around the orbit and not with |BF_i|, so the one bound is
 ``candidate_bound``: it caps the tensor products the search evaluates, the
-sum of |S_(k-1)| |Orb(u_k)|, and past it ``BoundExceeded`` states the work
-reached.  Infinite BF groups raise ``BoundExceeded`` before any search.
+sum of |S_(k-1)| |Orb(u_k)|.  Orb(u_k) is listed element by element after
+S_(k-1) is built, and once the work reached passes the bound,
+``BoundExceeded`` states it and no further element is listed.  Infinite BF
+groups raise ``BoundExceeded`` before any search.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automorphisms import (DEFAULT_CANDIDATE_BOUND, aut_orbit_equivalent,
-                            aut_orbit_witness, torsion_orbit)
+from .automorphisms import (DEFAULT_CANDIDATE_BOUND, _orbit_elements,
+                            aut_orbit_equivalent, aut_orbit_witness)
 from .errors import BoundExceeded, InternalError
 from .fggroup import FgElement, GroupHom, tensor
 from .sft import SftMatrix, invariants
@@ -184,18 +186,25 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
 def _orbit_layers(groups, units, maps, candidate_bound):
     """The layers S_1, ..., S_n of the module docstring, each a dict from the
     torsion coordinates of a value to one (previous value, orbit element)
-    pair that reaches it; S_1 maps each orbit element to (None, itself)."""
-    orbits = [sorted(torsion_orbit(g, u)) for g, u in zip(groups, units)]
-    layer = {v: (None, v) for v in orbits[0]}
+    pair that reaches it; S_1 maps each orbit element to (None, itself).
+
+    Orb(u_k) is listed only once S_(k-1) is built, and the listing stops as
+    soon as the work reached, counting |S_(k-1)| products per element kept
+    so far, passes the bound."""
+    layer = {v: (None, v) for v in _orbit_elements(groups[0], units[0])}
     layers = [layer]
     work = 0
-    for k, (tmap, orbit) in enumerate(zip(maps, orbits[1:]), start=2):
+    for k, (tmap, g, u) in enumerate(zip(maps, groups[1:], units[1:]), start=2):
+        orbit = []
+        for v in _orbit_elements(g, u):
+            orbit.append(v)
+            reached = work + len(layer) * len(orbit)
+            if reached > candidate_bound:
+                raise BoundExceeded(
+                    f"the unit-orbit search needs {reached} tensor products by factor {k}, "
+                    f"over the bound {candidate_bound} (passed filters: factor counts "
+                    "and (BF, det) multisets match)")
         work += len(layer) * len(orbit)
-        if work > candidate_bound:
-            raise BoundExceeded(
-                f"the unit-orbit search needs {work} tensor products by factor {k}, "
-                f"over the bound {candidate_bound} (passed filters: factor counts "
-                "and (BF, det) multisets match)")
         nxt = {}
         for s in layer:
             for v in orbit:

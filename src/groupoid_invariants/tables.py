@@ -23,6 +23,14 @@ mid's index.  Two cases need no prefix tests: when mid's words are all
 empty, every f entry (fsrc, fdst) there gives (src + fsrc's words, fdst);
 when f has a single source brick of empty words there, mid's words are
 appended to its target.  Other indices test every pair of entries.
+
+A group word is composed in balanced brackets (``compose_all``): the same
+number of checked ``compose`` calls as the left fold, and the same element,
+table order included, but every intermediate is the product of a sub-word,
+whose table is no larger than the word's, and most of them are short.
+``equal`` settles two elements with equal offsets, bounds and entry sets at
+once, since a table determines its map and a well-formed table repeats no
+entry; any other pair is decided by composing one with the other's inverse.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, permutations, product as iproduct
 from math import gcd, prod
-from operator import add, itemgetter, sub
+from operator import add, index, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import BoundExceeded, IncompatibleParameters, InternalError, ParseError
@@ -57,6 +65,13 @@ def _is_prefix(a, b) -> bool:
 
 def _empty_words(n):
     return ((),) * n
+
+
+def _integer(x, what) -> int:
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def _overlap(group, d) -> bool:
@@ -130,6 +145,11 @@ class TableElement:
     table: tuple[tuple[Brick, Brick], ...]
 
     def __post_init__(self):
+        # stored as exact ints and a tuple, so that equal data compares equal
+        for name, value in (("arities", tuple(_integer(k, "arity") for k in self.arities)),
+                            ("bound", _integer(self.bound, "bound")),
+                            ("offset", _integer(self.offset, "offset"))):
+            object.__setattr__(self, name, value)
         n = len(self.arities)
         if any(k < 2 for k in self.arities):
             raise ValueError("all arities must be >= 2")
@@ -208,6 +228,7 @@ class TableElement:
         words = tuple(tuple(w) for w in words)
         if len(words) != self.dimension:
             raise ValueError(f"point has {len(words)} coordinates, not {self.dimension}")
+        index = _integer(index, "point index")
         if index < 1:
             raise ValueError(f"point index {index} is below 1")
         for w, k in zip(words, self.arities):
@@ -300,23 +321,51 @@ def inverse(f: TableElement) -> TableElement:
 
 
 def equal(f: TableElement, g: TableElement) -> bool:
-    """True iff f and g define the same homeomorphism."""
+    """True iff f and g define the same homeomorphism.
+
+    Equal bounds and equal sets of entries settle it at once: a table
+    determines its map, and a well-formed table repeats no entry, so the
+    two elements are the same data up to entry order.  Otherwise f = g iff
+    f after g^-1 is the identity, which ``compose`` decides (two tables of
+    one map may still differ, say by a bound or by refined bricks).
+    """
     if f.arities != g.arities:
         raise IncompatibleParameters("arity data mismatch")
     if f.offset != g.offset:
         return False
+    if f.bound == g.bound and set(f.table) == set(g.table):
+        return True
     return compose(f, inverse(g)).is_identity()
 
 
 def compose_all(elems) -> TableElement:
-    """Product of a group word, rightmost factor acting first."""
+    """Product of a group word, rightmost factor acting first.
+
+    The word is bracketed in balance: adjacent pairs are composed level by
+    level, e0 e1, e2 e3, ..., an odd last element carried up unchanged,
+    until one element is left.  That makes the same len - 1 ``compose``
+    calls as the left fold e0 (e1 (... e_last)), each output checked, and
+    returns the same element, table order included.  The brick sets agree by
+    associativity (for h g f both bracketings give the sources
+    f-src & f^-1(g-src) & (g f)^-1(h-src)); ``compose`` lists its entries
+    g-major, then in f's order, in either bracketing; and the bounds agree
+    because bound + offset >= 0.
+
+    No intermediate is larger than the result.  A sub-word v of u v w has
+    |table(v)| <= |table(u v w)|: w pushes the source partition of u v w
+    forward onto a partition that refines the source partition of v.  The
+    left fold composes one generator with the whole growing product, and
+    checks it again, at each of its steps, so its cost grows as word length
+    times table size; here most calls compose short sub-words, whose tables
+    are small.
+    """
     elems = list(elems)
     if not elems:
         raise ValueError("empty word")
-    acc = elems[-1]
-    for e in reversed(elems[:-1]):
-        acc = compose(e, acc)
-    return acc
+    while len(elems) > 1:
+        pairs = [compose(f, g) for f, g in zip(elems[::2], elems[1::2])]
+        elems = pairs + elems[len(pairs) * 2:]
+    return elems[0]
 
 
 def gen_s(i: int, d: int, arities) -> TableElement:

@@ -9,6 +9,11 @@ quadratic in the bricks per index; keep the tables small.
 ``oracle_compose(f, g)`` is f after g, with every entry of g matched against
 every entry of f at its target index by prefix tests.
 
+``oracle_compose_all(word)`` is the product of a group word as the left fold
+e0 (e1 (... e_last)) of the library's ``compose``, one generator at a time.
+
+``oracle_equal(f, g)`` decides equality from f after g^-1 alone.
+
 ``oracle_characters(n, k, m)`` solves the reduced character system of
 ``tables.character_search`` by trying all m^n values of x for every
 admissible t, in (t, x) order.
@@ -19,7 +24,7 @@ from itertools import product
 
 from groupoid_invariants.errors import BoundExceeded
 from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, CharacterAssignment,
-                                        TableElement, alpha_parity)
+                                        TableElement, alpha_parity, compose, inverse)
 
 
 def mass(brick, arities) -> Fraction:
@@ -100,6 +105,20 @@ def oracle_compose(f, g) -> TableElement:
                 out.append((Brick(tuple(w + t for w, t in zip(src.words, src_tails)), src.index),
                             Brick(tuple(w + t for w, t in zip(fdst.words, dst_tails)), fdst.index)))
     return TableElement(f.arities, bound, f.offset + g.offset, tuple(out))
+
+
+def oracle_compose_all(elems) -> TableElement:
+    elems = list(elems)
+    if not elems:
+        raise ValueError("empty word")
+    acc = elems[-1]
+    for e in reversed(elems[:-1]):
+        acc = compose(e, acc)
+    return acc
+
+
+def oracle_equal(f, g) -> bool:
+    return f.offset == g.offset and oracle_compose(f, inverse(g)).is_identity()
 
 
 def oracle_characters(n, k, m) -> list[CharacterAssignment]:

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from groupoid_invariants.automorphisms import (aut_orbit_equivalent,
+from groupoid_invariants.automorphisms import (_orbit_elements,
+                                               aut_orbit_equivalent,
                                                aut_orbit_witness,
                                                enumerate_automorphisms,
                                                torsion_orbit)
@@ -159,6 +160,15 @@ def test_torsion_orbit_matches_brute_force_oracle():
             composite += any(sum(factorint(q).values()) > 1 for q in base)
             checked += 1
     assert composite > 100
+
+
+def test_orbit_elements_come_in_sorted_order():
+    # classify builds its layers, and so its witnesses, in this order
+    rng = random.Random(4)
+    for _ in range(60):
+        group = FgGroup.from_orders([rng.randint(2, 40) for _ in range(rng.randint(1, 3))])
+        e = group.element((), tuple(rng.randrange(d) for d in group.torsion))
+        assert list(_orbit_elements(group, e)) == sorted(torsion_orbit(group, e))
 
 
 def test_torsion_orbit_keeps_non_unit_multiples_of_a_composite_base():

@@ -8,6 +8,7 @@ import pytest
 from conftest import WALL_MATRIX, WALL_PERMS, random_sft, relabel
 from groupoid_invariants.errors import (BoundExceeded, InternalError,
                                         SftValidationError)
+from groupoid_invariants import automorphisms as automorphisms_module
 from groupoid_invariants.automorphisms import (aut_orbit_equivalent,
                                                torsion_orbit)
 from groupoid_invariants.classify import (ProductWitness,
@@ -296,3 +297,20 @@ def test_product_search_past_the_automorphism_tuple_wall():
     v = product_isomorphic(fa, fb)
     assert v.isomorphic and not v.witness.is_identity()
     _check_witness(fa, fb, v.witness)
+
+
+def test_orbit_listing_stops_at_the_bound(monkeypatch):
+    # BF = Z/100003 for both matrices, units 50002 and 75003: the layers
+    # would need 100002^2 tensor products, so the second orbit is refused
+    # after about bound / 100002 of its elements, not listed in full
+    a, b = validate([[3, 1], [1, 50003]]), validate([[5, 1], [1, 25002]])
+    assert invariants(a).bf.torsion == invariants(b).bf.torsion == (100003,)
+    calls = []
+    decide = automorphisms_module._orbit_decision
+    monkeypatch.setattr(automorphisms_module, "_orbit_decision",
+                        lambda *args, **kw: calls.append(1) or decide(*args, **kw))
+    with pytest.raises(BoundExceeded, match="needs 10000200 tensor products by factor 2"):
+        product_isomorphic([a, a], [b, b])
+    # the first orbit's box, the prune on the tensor product and 101 box
+    # elements of the second orbit
+    assert len(calls) == 100003 + 1 + 101

@@ -13,7 +13,7 @@ from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, TableElement,
                                         permutation_element, tau_tilde,
                                         verify_relations)
 
-from table_oracle import oracle_check, oracle_compose
+from table_oracle import oracle_check, oracle_compose, oracle_compose_all, oracle_equal
 
 
 def test_gen_tau_action():
@@ -208,6 +208,105 @@ def test_compose_fast_path_shapes_match_oracle():
         assert compose(f, g) == oracle_compose(f, g)
 
 
+def _random_word(rng, arities, length):
+    """length random letters s_{i,d}, tau_i (i = 1-4) and their inverses."""
+    word = []
+    for _ in range(length):
+        i = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            e = gen_s(i, rng.randint(1, len(arities)), arities)
+        else:
+            e = gen_tau(i, arities)
+        word.append(inverse(e) if rng.random() < 0.5 else e)
+    return word
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 60))
+def test_balanced_compose_all_matches_the_left_fold(seed, length):
+    rng = random.Random(seed)
+    arities = tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 3)))
+    word = _random_word(rng, arities, length)
+    # == on TableElement compares the table tuple, entry order included
+    assert _product(compose_all, word) == _product(oracle_compose_all, word)
+
+
+def _product(fn, word):
+    """The product, or the exception it raised, a word deeper than
+    MAX_WORD_DEPTH for example."""
+    try:
+        return fn(word)
+    except (ValueError, BoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _benchmark_word(rng, length=100):
+    """A word built as the benchmark's word comparisons build theirs: arities
+    (2, 2), s and tau at indices 1-4, net splits kept within one of zero."""
+    ar = (2, 2)
+    letters = [(g, i, d) for i in (1, 2, 3, 4) for g, d in (("s", 1), ("s", 2), ("t", 0))]
+    word, drift = [], 0
+    for _ in range(length):
+        (g, i, d), sign = rng.choice(letters), rng.choice((1, -1))
+        if g == "s":
+            if abs(drift + sign) > 1:
+                sign = -sign
+            drift += sign
+        e = gen_s(i, d, ar) if g == "s" else gen_tau(i, ar)
+        word.append(e if sign == 1 else inverse(e))
+    return word
+
+
+def test_balanced_compose_all_matches_the_left_fold_on_long_words():
+    for seed in (1, 2, 3):
+        word = _benchmark_word(random.Random(seed))
+        assert compose_all(word) == oracle_compose_all(word)
+
+
+def test_compose_all_edge_words():
+    with pytest.raises(ValueError, match="empty word"):
+        compose_all([])
+    s = gen_s(2, 1, (2, 3))
+    assert compose_all([s]) is s
+    assert compose_all(iter([s, inverse(s)])).is_identity()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_equal_matches_the_compose_inverse_oracle(seed):
+    rng = random.Random(seed)
+    arities = tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 2)))
+    f = _random_word_element(rng, arities)
+    g = f if rng.random() < 0.3 else _random_word_element(rng, arities)
+    # a relator (tau_i tau_i) keeps the map and usually changes the table
+    h = compose_all([f, gen_tau(rng.randint(1, 3), arities), gen_tau(rng.randint(1, 3), arities)])
+    for x, y in ((f, g), (g, f), (f, h), (h, f)):
+        assert equal(x, y) == oracle_equal(x, y)
+
+
+def test_equal_on_constructed_tables(monkeypatch):
+    ar = (2, 3)
+    e = compose_all([gen_s(1, 2, ar), gen_tau(2, ar), inverse(gen_s(2, 1, ar))])
+    flipped = TableElement(e.arities, e.bound, e.offset, e.table[::-1])
+    assert flipped != e and equal(e, flipped) and equal(flipped, e)
+    # one map, two bounds
+    twice = compose(gen_tau(1, ar), gen_tau(1, ar))
+    assert twice.bound == 2 and equal(identity(ar), twice) and equal(twice, identity(ar))
+    assert oracle_equal(identity(ar), twice)
+    # equal bound and offset, different maps: decided by the composite
+    calls = []
+    composite = tables.compose
+    monkeypatch.setattr(tables, "compose", lambda f, g: calls.append(1) or composite(f, g))
+    for f, g in ((gen_s(1, 1, (2, 2)), gen_s(1, 2, (2, 2))),
+                 (gen_tau(1, ar), permutation_element({1: 1, 2: 2}, ar)),
+                 (permutation_element({1: 2, 2: 3, 3: 1}, ar),
+                  permutation_element({1: 3, 2: 1, 3: 2}, ar))):
+        assert (f.bound, f.offset) == (g.bound, g.offset)
+        calls.clear()
+        assert not equal(f, g) and not oracle_equal(f, g)
+        assert len(calls) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_inverse_equals_checked_swap(seed):
@@ -249,6 +348,41 @@ def test_relation_check_builds_tau_tilde_from_the_memo(monkeypatch):
     rep = verify_relations(3, (3, 3, 3), 4)
     assert rep.checked == 131 and rep.failures == []
     assert len(calls) <= 593
+
+
+def test_relation_check_settles_identical_tables_without_composing(monkeypatch):
+    calls = []
+    check = TableElement.__post_init__
+
+    def counted(self):
+        calls.append(1)
+        check(self)
+
+    monkeypatch.setattr(tables.TableElement, "__post_init__", counted)
+    rep = verify_relations(3, (3, 3, 3), 4)
+    assert rep.checked == 131 and rep.failures == []
+    assert len(calls) <= 470
+
+
+def test_element_stores_a_list_of_arities_as_a_tuple():
+    t = ((Brick(((),), 1), Brick(((),), 1)),)
+    e = TableElement([2], 1, 0, t)
+    assert e.arities == (2,) and type(e.arities) is tuple
+    assert e == TableElement((2,), 1, 0, t)
+    assert equal(e, identity((2,)))
+
+
+def test_element_rejects_non_integer_data():
+    t = ((Brick(((),), 1), Brick(((),), 1)),)
+    for arities, bound, offset in (((2,), 1.0, 0), ((2,), 1, 0.0), ((2,), "1", 0), ((2.0,), 1, 0)):
+        with pytest.raises(ValueError, match="not an integer"):
+            TableElement(arities, bound, offset, t)
+
+
+def test_apply_rejects_a_non_integer_index():
+    for e in (identity((2,)), gen_s(1, 1, (2,))):
+        with pytest.raises(ValueError, match="not an integer"):
+            e.apply(((),), 1.5)
 
 
 def test_apply_rejects_malformed_points():
