@@ -7,9 +7,8 @@ The package computes, with exact integer arithmetic throughout:
     presentation with determinant D != 0 gets its cokernel from a certified
     map onto Z/|D| when it is cyclic, else from the elimination modulo |D|,
     and only D = 0 takes a Smith normal form;
-  * canonical forms and the tensor/Tor/Ext calculus of finitely generated
-    abelian groups over a coprime base, without Smith normal forms
-    (``fggroup``);
+  * canonical forms, tensor products and Tor of finitely generated abelian
+    groups over a coprime base, without Smith normal forms (``fggroup``);
   * Aut-orbit decisions, witnesses and orbit listings on group elements
     (``automorphisms``);
   * Bowen-Franks data, homology, K-groups and full-group abelianizations of
@@ -31,11 +30,11 @@ from .errors import (BoundExceeded, IncompatibleParameters, InternalError,
                      NegativeEntry, NotSquare, ParseError, PermutationMatrix,
                      Reducible, SftValidationError)
 from .fggroup import (FgElement, FgGroup, GroupHom, QuotientMap, TensorMap,
-                      cokernel, cokernel_and_kernel, direct_sum, ext_group,
-                      is_quotient, kernel_group, tensor, tor)
+                      cokernel, cokernel_and_kernel, direct_sum,
+                      kernel_group, tensor, tor)
 from .graded import GradedGroups
-from .homology import (HkReport, KTheory, hk_check, iterated_kunneth,
-                       kunneth_pair, product_homology, product_k_theory)
+from .homology import (HkReport, KTheory, hk_check, product_homology,
+                       product_k_theory)
 from .intmatrix import (FractionFreeLU, IntMatrix, ModularSnf, SnfResult,
                         smith_form_mod_det, smith_normal_form)
 from .sft import (SftInvariants, SftMatrix, companion_matrix, invariants,

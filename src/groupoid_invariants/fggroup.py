@@ -17,8 +17,8 @@ large prime factors cost no more than small ones.  Each order n is a product
 of base powers b^e(n), and Z/n splits by CRT into the Z/b^e(n).  Sorting each
 base element's exponents in descending order, the r-th largest entries of
 all columns multiply to the r-th largest invariant factor.
-``canonical_orders``, and through it ``from_orders``, ``direct_sum``,
-``tor`` and ``ext_group``, is that merge.
+``canonical_orders``, and through it ``from_orders``, ``direct_sum`` and
+``tor``, is that merge.
 
 Tensor products need no Smith normal form: g (x) h is the direct sum of the
 pieces Z_gcd(d_i, e_j), whose canonical form is the merge above.  The
@@ -139,6 +139,17 @@ class FgGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # stored as exact ints and a tuple, so that equal groups compare equal;
+        # a sum of ints is an int, so data already in that form is kept as is
+        free_rank, torsion = self.free_rank, self.torsion
+        try:
+            if not (type(free_rank) is int and type(torsion) is tuple
+                    and type(sum(torsion)) is int):
+                object.__setattr__(self, "free_rank", index(free_rank))
+                object.__setattr__(self, "torsion", tuple(map(index, torsion)))
+        except TypeError:
+            raise ValueError(f"free rank and invariant factors must be integers, not "
+                             f"{self.free_rank!r} and {self.torsion!r}") from None
         if self.free_rank < 0:
             raise ValueError("negative free rank")
         for a, b in zip(self.torsion, self.torsion[1:]):
@@ -581,36 +592,8 @@ def tor(g: FgGroup, h: FgGroup) -> FgGroup:
     return FgGroup.from_orders(gcd(a, b) for a in g.torsion for b in h.torsion)
 
 
-def ext_group(g: FgGroup, h: FgGroup) -> FgGroup:
-    """Ext(g, h): Ext(Z, -) = 0, Ext(Z_m, Z) = Z_m, Ext(Z_m, Z_n) = Z_gcd."""
-    orders = [d for d in g.torsion for _ in range(h.free_rank)]
-    orders.extend(gcd(a, b) for a in g.torsion for b in h.torsion)
-    return FgGroup.from_orders(orders)
-
-
 def direct_sum(*groups: FgGroup) -> FgGroup:
     orders: list[int] = []
     for g in groups:
         orders.extend(g.orders())
     return FgGroup.from_orders(orders)
-
-
-def is_quotient(g: FgGroup, h: FgGroup) -> bool:
-    """True iff h is an epimorphic image of g.
-
-    Align the two order sequences (invariant factors, then 0s for free
-    summands) at the large end; each factor of h must divide its partner,
-    where "divides 0" means any order and "0 divides" only 0.
-    """
-    gs = list(g.torsion) + [0] * g.free_rank
-    hs = list(h.torsion) + [0] * h.free_rank
-    if len(hs) > len(gs):
-        return False
-    for i in range(1, len(hs) + 1):
-        e, d = hs[-i], gs[-i]
-        if e == 0:
-            if d != 0:
-                return False
-        elif d % e:
-            return False
-    return True

@@ -1,17 +1,13 @@
 """Homology and K-theory of products of SFT groupoids.
 
-Two independent pipelines compute the graded homology of a product:
-
-  * ``kunneth_pair`` / ``iterated_kunneth`` fold the splitting short exact
-    sequence H_n(G x H) = (+) H_i (x) H_j (+) (+) Tor(H_i, H_j) pairwise;
-  * ``product_homology`` evaluates the closed form
+``product_homology`` evaluates the closed form for the graded homology of a
+product of n factors,
     H_k = (Z^C(n-1,k) (x) H_0(1) (x) ... (x) H_0(n))
           (+) (Z^C(n-1,k-1) (x) H_1(1) (x) ... (x) H_1(n)).
-
-They must agree degreewise on every input; the test suite enforces this.
 The unit class (the class of the constant function 1) is tracked through the
-degree-0 tensor component, which is canonical even though the splittings of
-the Kunneth sequences are not.
+degree-0 tensor product.  The test suite checks every degree, and the unit
+up to automorphism, against the homology of the tensor product of the
+factors' chain complexes, computed from Smith normal forms alone.
 
 K-groups iterate the Z/2-graded Kunneth formula for the factor C*-algebras,
 seeded with the single-factor identification K_i = H_i, and ``hk_check``
@@ -23,43 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InternalError
 from .fggroup import FgElement, FgGroup, direct_sum, tensor, tor
 from .graded import GradedGroups
 from .sft import SftMatrix, invariants
-
-
-def kunneth_pair(g: GradedGroups, h: GradedGroups) -> GradedGroups:
-    """Graded groups of a product from those of the two factors."""
-    out: dict[int, FgGroup] = {}
-    top = g.max_degree + h.max_degree + 1
-    deg0, tmap = tensor(g.group_at(0), h.group_at(0))
-    unit = tmap(g.unit_class, h.unit_class)
-    for n in range(top + 1):
-        parts = []
-        for i in range(n + 1):
-            if n == 0 and i == 0:
-                parts.append(deg0)
-                continue
-            parts.append(tensor(g.group_at(i), h.group_at(n - i))[0])
-        for i in range(n):
-            parts.append(tor(g.group_at(i), h.group_at(n - 1 - i)))
-        out[n] = direct_sum(*parts)
-    # degree 0 is exactly the tensor of the degree-0 groups, so the unit
-    # coordinates computed there remain valid after assembly
-    if out.get(0, FgGroup.trivial()) != deg0 and not deg0.is_trivial:
-        raise InternalError("degree 0 of the Kunneth fold is not the degree-0 tensor")
-    return GradedGroups(out, unit)
-
-
-def iterated_kunneth(factors: list[SftMatrix]) -> GradedGroups:
-    """Left fold of kunneth_pair over the single-factor homologies."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    acc = invariants(factors[0]).homology
-    for f in factors[1:]:
-        acc = kunneth_pair(acc, invariants(f).homology)
-    return acc
 
 
 def _tensor_chain(groups_units: list[tuple[FgGroup, FgElement | None]]):

@@ -159,11 +159,6 @@ def _compute_invariants(m: IntMatrix) -> SftInvariants:
     )
 
 
-def det_id_minus(a: SftMatrix) -> int:
-    """det(id - A), exact; read from the cached invariants."""
-    return invariants(a).det
-
-
 def is_primitive(a: SftMatrix) -> bool:
     """True iff some power of A is entrywise positive.
 

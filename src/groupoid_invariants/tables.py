@@ -166,6 +166,14 @@ class TableElement:
                 if w:
                     if len(w) > MAX_WORD_DEPTH:
                         raise BoundExceeded("brick word exceeds refinement depth cap")
+                    # a sum of int letters is an int; any other letter makes
+                    # it something else or raises TypeError
+                    try:
+                        total = sum(w)
+                    except TypeError:
+                        total = None
+                    if not isinstance(total, int):
+                        raise ValueError(f"letter of {w!r} is not an integer")
                     if min(w) < 0 or max(w) >= k:
                         raise ValueError("letter outside alphabet")
         self._check_partition([s for s, _ in self.table], self.bound, "source")
@@ -196,6 +204,8 @@ class TableElement:
         """
         by_index: dict[int, list] = {}
         for b in bricks:
+            if not isinstance(b.index, int):
+                raise ValueError(f"{side} brick index {b.index!r} is not an integer")
             if not 1 <= b.index <= top:
                 raise ValueError(f"{side} brick index {b.index} outside 1..{top}")
             by_index.setdefault(b.index, []).append(b.words)

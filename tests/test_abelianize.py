@@ -1,11 +1,12 @@
 import random
 
 from conftest import random_factor_list, random_sft
+from homology_oracle import is_quotient
 from orbit_oracle import primary_orders
 from groupoid_invariants.abelianize import (H0Decomposition, decompose_all,
                                             decompose_h0, extension_data,
                                             strong_ah, tfg_abelianization)
-from groupoid_invariants.fggroup import FgGroup, is_quotient
+from groupoid_invariants.fggroup import FgGroup
 from groupoid_invariants.homology import product_homology
 from groupoid_invariants.sft import (companion_matrix, invariants,
                                      sft_abelianization,

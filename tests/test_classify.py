@@ -16,9 +16,9 @@ from groupoid_invariants.classify import (ProductWitness,
                                           product_isomorphic, sft_isomorphic,
                                           sft_morita)
 from groupoid_invariants.fggroup import GroupHom, tensor
-from groupoid_invariants.sft import (companion_matrix, det_id_minus,
-                                     invariants, thompson_factor_list,
-                                     validate)
+from groupoid_invariants.intmatrix import IntMatrix
+from groupoid_invariants.sft import (companion_matrix, invariants,
+                                     thompson_factor_list, validate)
 from product_oracle import automorphisms, oracle_product_isomorphic
 
 
@@ -201,9 +201,11 @@ def _fold(groups):
 
 
 def _checked_invariants(factors):
-    """invariants of each factor, with det(id - A) checked by det_id_minus."""
+    """invariants of each factor, with their det checked against det(id - A)
+    computed without them."""
     invs = [invariants(f) for f in factors]
-    assert [inv.det for inv in invs] == [det_id_minus(f) for f in factors]
+    assert [inv.det for inv in invs] == [(IntMatrix.identity(f.size) - f.a).det()
+                                         for f in factors]
     return invs
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from conftest import random_factor_list
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.fggroup import (FgElement, FgGroup, GroupHom, _piece_order,
-                                         canonical_orders, cokernel,
-                                         direct_sum, ext_group, is_quotient,
+                                         canonical_orders, cokernel, direct_sum,
                                          kernel_group, tensor, tor)
 from groupoid_invariants.intmatrix import IntMatrix
 from groupoid_invariants.sft import invariants
+from homology_oracle import is_quotient
 
 small_orders = st.lists(st.sampled_from([0, 0, 2, 2, 3, 4, 4, 5, 6, 8, 9, 12]),
                         min_size=0, max_size=4)
@@ -99,13 +99,20 @@ def test_kernel_rank_plus_matrix_rank():
             assert all(x == 0 for x in m.apply(v))
 
 
+def test_group_stores_exact_ints_and_rejects_non_integers():
+    g = FgGroup(0, [2, 4])
+    assert g == FgGroup(0, (2, 4)) and type(g.torsion) is tuple
+    assert hash(g) == hash(FgGroup(0, (2, 4)))
+    assert str(FgGroup(True, ())) == "Z"
+    for free_rank, torsion in ((0, (2.0,)), (1.5, ()), (0, ("2",)), (0, 6)):
+        with pytest.raises(ValueError, match="must be integers"):
+            FgGroup(free_rank, torsion)
+
+
 def test_functor_examples():
     Z = FgGroup.free(1)
     assert tensor(Z, FgGroup.cyclic(6))[0] == FgGroup.cyclic(6)
     assert tor(FgGroup.cyclic(4), FgGroup.cyclic(6)) == FgGroup.cyclic(2)
-    assert ext_group(FgGroup.cyclic(2), FgGroup.cyclic(2)) == FgGroup.cyclic(2)
-    assert ext_group(Z, FgGroup.cyclic(2)).is_trivial
-    assert ext_group(FgGroup.cyclic(5), Z) == FgGroup.cyclic(5)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,42 +1,13 @@
 import random
+from functools import cache
 from math import comb
 
 from conftest import random_factor_list
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.fggroup import FgGroup
-from groupoid_invariants.graded import GradedGroups
-from groupoid_invariants.homology import (hk_check, iterated_kunneth,
-                                          kunneth_pair, product_homology,
-                                          product_k_theory)
+from groupoid_invariants.homology import hk_check, product_homology, product_k_theory
 from groupoid_invariants.sft import invariants, validate
-
-
-def _graded_cyclic(n, unit_coord=1):
-    g = FgGroup.cyclic(n)
-    return GradedGroups({0: g}, g.element((), (unit_coord % n,)))
-
-
-def test_kunneth_pair_examples():
-    g = _graded_cyclic(2)
-    out = kunneth_pair(g, g)
-    assert out.group_at(0) == FgGroup.cyclic(2)
-    assert out.group_at(1) == FgGroup.cyclic(2)  # Tor(Z/2, Z/2)
-    assert out.group_at(2).is_trivial
-
-    # tensoring with (Z in degree 0, unit 1) changes nothing
-    z = FgGroup.free(1)
-    unit_graded = GradedGroups({0: z}, z.element((1,), ()))
-    rich = GradedGroups({0: FgGroup.from_orders([4, 0]), 1: FgGroup.cyclic(3),
-                         2: FgGroup.free(2)},
-                        FgGroup.from_orders([4, 0]).element((1,), (1,)))
-    out = kunneth_pair(rich, unit_graded)
-    for n in range(4):
-        assert out.group_at(n) == rich.group_at(n)
-    assert aut_orbit_equivalent(out.group_at(0), out.unit_class, rich.unit_class)
-
-    out = kunneth_pair(_graded_cyclic(4), _graded_cyclic(6))
-    assert out.group_at(0) == FgGroup.cyclic(2)
-    assert out.group_at(1) == FgGroup.cyclic(2)
+from homology_oracle import chain_homology, graded_sum
 
 
 def test_product_homology_full_shifts():
@@ -66,22 +37,55 @@ def test_three_times_three():
     assert h.group_at(2).is_trivial
 
 
-def test_closed_form_equals_fold_and_permutation_invariance(rng):
-    for _ in range(40):
-        factors = random_factor_list(rng)
+# infinite Bowen-Franks groups (BF, unit class): Z with unit 0, Z with a
+# generating unit, Z with unit 2, Z x Z/3 and Z x Z/2
+INFINITE_BF = [[[2, 1], [1, 2]], [[3, 1], [2, 2]], [[1, 3, 0], [3, 2, 1], [3, 3, 2]],
+               [[1, 1, 2], [3, 3, 1], [3, 2, 2]], [[3, 2, 2], [1, 2, 1], [2, 0, 3]]]
+
+
+@cache
+def _oracle_corpus():
+    """Seeded products of 1-3 factors on at most 3 vertices, every sixth with
+    an infinite-BF factor put in, and their chain-level homology."""
+    rng = random.Random(5)
+    corpus = []
+    for i in range(60):
+        factors = random_factor_list(rng, max_size=3)
+        if i % 6 == 0:
+            factors[rng.randrange(len(factors))] = validate(rng.choice(INFINITE_BF))
+        corpus.append((factors, *chain_homology(factors)))
+    hand = [[[5]], [[7]]], [[[2, 1], [1, 2]]] * 2, [[[3, 1], [2, 2]], [[3]], [[5]]]
+    corpus.extend((fs, *chain_homology(fs)) for fs in ([validate(m) for m in ms] for ms in hand))
+    return corpus
+
+
+def test_oracle_corpus_has_infinite_factors():
+    infinite = [fs for fs, _, _ in _oracle_corpus()
+                if any(invariants(f).bf.free_rank for f in fs)]
+    assert len(_oracle_corpus()) >= 60 and len(infinite) >= 8
+
+
+def test_closed_form_equals_chain_oracle_and_permutation_invariance():
+    rng = random.Random(11)
+    for factors, groups, unit in _oracle_corpus():
         closed = product_homology(factors)
-        fold = iterated_kunneth(factors)
-        assert closed == fold
-        if closed.group_at(0).order() <= 10 ** 5:
-            assert aut_orbit_equivalent(closed.group_at(0), closed.unit_class,
-                                        fold.unit_class)
+        assert set(closed.degrees) <= set(groups)
+        for j, g in groups.items():
+            assert closed.group_at(j) == g, (factors, j)
+        assert aut_orbit_equivalent(groups[0], closed.unit_class, unit)
         shuffled = factors[:]
         rng.shuffle(shuffled)
         sh = product_homology(shuffled)
         assert sh == closed
-        if closed.group_at(0).order() <= 10 ** 5:
-            assert aut_orbit_equivalent(closed.group_at(0), closed.unit_class,
-                                        sh.unit_class)
+        assert aut_orbit_equivalent(groups[0], closed.unit_class, sh.unit_class)
+
+
+def test_k_theory_equals_chain_oracle_homology():
+    """The HK comparison of ``hk_check``, with homology from the chain level."""
+    for factors, groups, _ in _oracle_corpus():
+        kk = product_k_theory(factors)
+        assert kk.k0 == graded_sum([g for j, g in groups.items() if j % 2 == 0])
+        assert kk.k1 == graded_sum([g for j, g in groups.items() if j % 2 == 1])
 
 
 def test_degree_support_bound(rng):

@@ -18,9 +18,8 @@ from groupoid_invariants.classify import product_isomorphic
 from groupoid_invariants.fggroup import FgGroup, cokernel, direct_sum, tensor
 from groupoid_invariants.homology import hk_check
 from groupoid_invariants.intmatrix import IntMatrix, ModularSnf
-from groupoid_invariants.sft import (_irreducible, companion_matrix, det_id_minus,
-                                     invariants, is_primitive,
-                                     sft_abelianization, validate)
+from groupoid_invariants.sft import (_irreducible, companion_matrix, invariants,
+                                     is_primitive, sft_abelianization, validate)
 from sft_oracle import irreducible_oracle, primitive_oracle
 
 
@@ -79,7 +78,7 @@ def test_invariants_companion_matrices():
             inv = invariants(companion_matrix(k, r))
             assert inv.bf == FgGroup.from_orders([k - 1])
             assert inv.det_sign == (-1 if k > 1 else 0)
-            assert det_id_minus(companion_matrix(k, r)) == 1 - k
+            assert inv.det == 1 - k
             assert inv.k1.is_trivial
             if k > 2:
                 target = inv.bf.element((), (r % (k - 1),))
@@ -103,7 +102,7 @@ def test_invariants_random_properties(rng):
     for _ in range(40):
         f = random_sft(rng)
         inv = invariants(f)
-        det = det_id_minus(f)
+        det = inv.det
         assert inv.bf.is_finite == (det != 0)
         if det != 0:
             assert inv.bf.order() == abs(det)
@@ -275,7 +274,7 @@ def test_product_isomorphic_computes_each_determinant_once(monkeypatch):
     fb = [validate([[1, 2], [1, 1]]), validate([[3]])]
     assert product_isomorphic(fa, fb).isomorphic
     assert len(calls) == 4  # one per factor object
-    assert [det_id_minus(f) for f in fa + fb] == [-2, -2, -2, -2]
+    assert [invariants(f).det for f in fa + fb] == [-2, -2, -2, -2]
     assert len(calls) == 4
 
 

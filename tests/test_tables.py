@@ -379,6 +379,19 @@ def test_element_rejects_non_integer_data():
             TableElement(arities, bound, offset, t)
 
 
+def test_element_rejects_non_integer_brick_indices_and_letters():
+    one = Brick(((),), 1)
+    with pytest.raises(ValueError, match="source brick index 1.0 is not an integer"):
+        TableElement((2,), 1, 0, ((Brick(((),), 1.0), one),))
+    with pytest.raises(ValueError, match="target brick index 1.0 is not an integer"):
+        TableElement((2,), 1, 0, ((one, Brick(((),), 1.0)),))
+    for letter in (0.0, "0", None):
+        halves = ((Brick(((letter,),), 1), Brick(((0,),), 1)),
+                  (Brick(((1,),), 1), Brick(((1,),), 1)))
+        with pytest.raises(ValueError, match="not an integer"):
+            TableElement((2,), 1, 0, halves)
+
+
 def test_apply_rejects_a_non_integer_index():
     for e in (identity((2,)), gen_s(1, 1, (2,))):
         with pytest.raises(ValueError, match="not an integer"):
