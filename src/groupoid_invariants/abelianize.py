@@ -14,13 +14,25 @@ the components where
     * the order at p is = 2 mod 4,
     * exactly one order right of p is = 2 mod 4.
 
-A tuple therefore carries a nontrivial component iff exactly two of its
-orders are = 2 mod 4, with p* the smaller of the two positions, so the class
-is block diagonal over tuples: each nonsplit block glues its Z/2 onto
-T_p*(i) = Z/g2 as Z/(2 g2), every other block contributes its summands split.
+Closed form per tuple.  Cyclic orders use the 0 = Z convention, and gcds
+treat 0 as the identity.  For i = (m_1, ..., m_n) let g = gcd(i).
 
-Cyclic orders use the 0 = Z convention; gcds treat 0 as the identity, which
-makes the g-chain (g0, g, g1, g2) bookkeeping uniform across free summands.
+* T_p(i) = Z/g when m_p != 0 and some order right of p is nonzero, else 0.
+  T_p(i) is the tensor of Z/m_1, ..., Z/m_(p-1) with Tor(Z/m_p, R), where R
+  is the tensor of the orders right of p.  Z/a (x) Z/b = Z/gcd(a, b), so R
+  is cyclic of order g0 = gcd(m_(p+1), ..., m_n).  Tor(Z/a, Z/b) =
+  Z/gcd(a, b) for a, b != 0 and 0 when either is Z.  So T_p(i) is 0 if
+  m_p = 0 or g0 = 0, and otherwise Z/gcd(m_1, ..., m_(p-1), m_p, g0) = Z/g.
+* A tuple in J_0 has only orders = 0 or 2 mod 4 (Z counts as 0 mod 4), so
+  the first two clauses say that p is its first order = 2 mod 4, and the
+  third that exactly one more follows.  The class therefore has one
+  component (p*, i, i) when exactly two orders of i are = 2 mod 4, with p*
+  the first of them, and none otherwise.  Then g is even but not divisible
+  by 4, so T_p*(i) = Z/g is nonzero.
+
+The class is thus block diagonal over tuples: each nonsplit block glues its
+Z/2 onto T_p*(i) = Z/g as Z/(2 g), every other block contributes its
+summands split.
 """
 
 from __future__ import annotations
@@ -45,13 +57,6 @@ class H0Decomposition:
             if any(m == 1 or m < 0 for m in orders):
                 raise ValueError("cyclic orders must be 0 or >= 2")
 
-    @property
-    def num_factors(self) -> int:
-        return len(self.factor_orders)
-
-    def group(self, d: int) -> FgGroup:
-        return FgGroup.from_orders(self.factor_orders[d])
-
 
 def decompose_h0(a: SftMatrix) -> tuple[int, ...]:
     """Cyclic orders of H_0 for one factor: its invariant factors, with the
@@ -73,7 +78,7 @@ class ExtensionData:
 
     Tuples index the chosen cyclic summands per factor (0-based); p is the
     1-based Tor position, 1 <= p <= n-1.  ``tp_summands`` records the cyclic
-    order g2 of each nonzero T_p(i); ``class_components`` lists the (p, i, i')
+    order g of each nonzero T_p(i); ``class_components`` lists the (p, i, i')
     triples carrying the nontrivial Ext component (always with i == i').
     """
 
@@ -85,20 +90,10 @@ class ExtensionData:
     class_components: frozenset[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 
-def _tp_order(m_vec: tuple[int, ...], p: int) -> int:
-    """Cyclic order of T_p(i) via the gcd chain; 1 or a zero pair means trivial."""
-    mp = m_vec[p - 1]
-    g0 = gcd(*m_vec[p:], 0)
-    if mp == 0 or g0 == 0:
-        return 1
-    g = gcd(mp, g0)
-    g1 = gcd(*m_vec[:p - 1], 0)  # empty or all-zero left part gives 0, the gcd identity
-    return gcd(g1, g)
-
-
 def extension_data(factors: list[SftMatrix],
                    decomposition: H0Decomposition | None = None) -> ExtensionData:
-    """Compute S(i), T_p(i), J_0 and the extension-class support."""
+    """Compute S(i), T_p(i), J_0 and the extension-class support, each tuple
+    by the closed form of the module docstring."""
     if not factors:
         raise ValueError("need at least one factor")
     if decomposition is None:
@@ -115,62 +110,45 @@ def extension_data(factors: list[SftMatrix],
         split_parts.append(chain)
     split_part = direct_sum(*split_parts)
 
-    if any(len(orders) == 0 for orders in decomposition.factor_orders):
-        return ExtensionData(decomposition, split_part, (), (), {}, frozenset())
-
-    j_index = tuple(iproduct(*(range(len(o)) for o in decomposition.factor_orders)))
+    orders = decomposition.factor_orders
+    j_index = tuple(iproduct(*(range(len(o)) for o in orders)))
     kernel_index = []
     tp_summands: dict[tuple[int, tuple[int, ...]], int] = {}
     components = []
     for idx in j_index:
-        m_vec = tuple(decomposition.factor_orders[d][idx[d]] for d in range(n))
-        twos = sum(1 for m in m_vec if m % 4 == 2)
-        in_kernel = all(m % 2 == 0 for m in m_vec) and twos < 3
-        if in_kernel:
+        m_vec = [orders[d][k] for d, k in enumerate(idx)]
+        g = gcd(*m_vec)
+        if g > 1:
+            # the nonzero positions that have a nonzero order to their right
+            nonzero = [p for p, m in enumerate(m_vec, start=1) if m]
+            for p in nonzero[:-1]:
+                tp_summands[(p, idx)] = g
+        twos = [p for p, m in enumerate(m_vec, start=1) if m % 4 == 2]
+        if g % 2 == 0 and len(twos) < 3:  # every order is even iff g is
             kernel_index.append(idx)
-        for p in range(1, n):
-            order = _tp_order(m_vec, p)
-            if order > 1:
-                tp_summands[(p, idx)] = order
-            nontrivial = (
-                all(m_vec[d] % 4 == 0 for d in range(p - 1))
-                and m_vec[p - 1] % 4 == 2
-                and sum(1 for d in range(p, n) if m_vec[d] % 4 == 2) == 1
-            )
-            # the Ext target S(i') (x) Z/2 only exists for tuples indexing S_0
-            if nontrivial and in_kernel:
-                components.append((p, idx, idx))
+            if len(twos) == 2:
+                components.append((twos[0], idx, idx))
     return ExtensionData(decomposition, split_part, j_index, tuple(kernel_index),
                          tp_summands, frozenset(components))
 
 
 def tfg_abelianization(factors: list[SftMatrix],
                        decomposition: H0Decomposition | None = None) -> FgGroup:
-    """The full-group abelianization of the product groupoid, canonical form."""
+    """The full-group abelianization of the product groupoid, canonical form:
+    the split part, every T_p(i), and the Z/2 of each tuple of J_0, glued
+    onto T_p*(i) where the class has its component (p*, i, i)."""
     data = extension_data(factors, decomposition)
-    orders = list(data.split_part.orders())
-    by_tuple: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for (p, idx), g2 in data.tp_summands.items():
-        by_tuple.setdefault(idx, []).append((p, g2))
     kernel = set(data.kernel_index)
     star: dict[tuple[int, ...], int] = {}
     for p, idx, idx2 in data.class_components:
-        if idx != idx2 or idx in star:
-            raise InternalError("extension class must be block diagonal")
+        if idx != idx2 or idx in star or idx not in kernel or (p, idx) not in data.tp_summands:
+            raise InternalError("extension class must be block diagonal, "
+                                "on tuples of J_0 with a T_p summand")
         star[idx] = p
-    for idx in data.j_index:
-        tps = by_tuple.get(idx, [])
-        if idx in kernel:
-            p_star = star.get(idx)
-            if p_star is None:
-                orders.append(2)
-                orders.extend(g2 for _, g2 in tps)
-            else:
-                glued = dict(tps)[p_star]
-                orders.append(2 * glued)
-                orders.extend(g2 for p, g2 in tps if p != p_star)
-        else:
-            orders.extend(g2 for _, g2 in tps)
+    orders = list(data.split_part.orders())
+    orders.extend(2 * g if star.get(idx) == p else g
+                  for (p, idx), g in data.tp_summands.items())
+    orders.extend(2 for idx in data.kernel_index if idx not in star)
     return FgGroup.from_orders(orders)
 
 

@@ -42,9 +42,13 @@ layers are built once per call and serve every permutation.  Each orbit
 is listed as ``torsion_orbit`` lists it, from its structure, at a cost that
 grows with a box around the orbit and not with |BF_i|, so the one bound is
 ``candidate_bound``: it caps the tensor products the search evaluates, the
-sum of |S_(k-1)| |Orb(u_k)|.  Orb(u_k) is listed element by element after
-S_(k-1) is built, and once the work reached passes the bound,
-``BoundExceeded`` states it and no further element is listed.  Infinite BF
+sum of |S_(k-1)| |Orb(u_k)|.  Since S_1 = Orb(u_1), the first term is
+|Orb(u_1)| |Orb(u_2)|, so those two orbits are listed in step, one element
+of each in turn, and the product of the counts listed so far is checked;
+each later Orb(u_k) is listed element by element after S_(k-1) is built.
+Once the work reached passes the bound, ``BoundExceeded`` states it and no
+further element is listed, so a refusal of two large orbits costs about
+twice the square root of the bound in elements, not |BF_1|.  Infinite BF
 groups raise ``BoundExceeded`` before any search.
 """
 
@@ -188,30 +192,44 @@ def _orbit_layers(groups, units, maps, candidate_bound):
     torsion coordinates of a value to one (previous value, orbit element)
     pair that reaches it; S_1 maps each orbit element to (None, itself).
 
-    Orb(u_k) is listed only once S_(k-1) is built, and the listing stops as
-    soon as the work reached, counting |S_(k-1)| products per element kept
-    so far, passes the bound."""
-    layer = {v: (None, v) for v in _orbit_elements(groups[0], units[0])}
-    layers = [layer]
-    work = 0
-    for k, (tmap, g, u) in enumerate(zip(maps, groups[1:], units[1:]), start=2):
+    Orb(u_1) and Orb(u_2) are listed in step, one element of each in turn,
+    and Orb(u_k) for k > 2 only once S_(k-1) is built.  Each listing stops as
+    soon as the work reached passes the bound: |Orb(u_1)| |Orb(u_2)| over the
+    elements kept so far, then |S_(k-1)| products per element of Orb(u_k)."""
+    first, second = [], []
+    for pair in itertools.zip_longest(_orbit_elements(groups[0], units[0]),
+                                      _orbit_elements(groups[1], units[1])):
+        for orbit, v in zip((first, second), pair):
+            if v is not None:
+                orbit.append(v)
+                _check_work(len(first) * len(second), 2, candidate_bound)
+    layers = [{v: (None, v) for v in first}]
+    layers.append(_next_layer(layers[0], second, maps[0]))
+    work = len(first) * len(second)
+    for k, (tmap, g, u) in enumerate(zip(maps[1:], groups[2:], units[2:]), start=3):
         orbit = []
         for v in _orbit_elements(g, u):
             orbit.append(v)
-            reached = work + len(layer) * len(orbit)
-            if reached > candidate_bound:
-                raise BoundExceeded(
-                    f"the unit-orbit search needs {reached} tensor products by factor {k}, "
-                    f"over the bound {candidate_bound} (passed filters: factor counts "
-                    "and (BF, det) multisets match)")
-        work += len(layer) * len(orbit)
-        nxt = {}
-        for s in layer:
-            for v in orbit:
-                nxt.setdefault(tmap.coords(s, v), (s, v))
-        layer = nxt
-        layers.append(layer)
+            _check_work(work + len(layers[-1]) * len(orbit), k, candidate_bound)
+        work += len(layers[-1]) * len(orbit)
+        layers.append(_next_layer(layers[-1], orbit, tmap))
     return layers
+
+
+def _next_layer(layer, orbit, tmap):
+    nxt = {}
+    for s in layer:
+        for v in orbit:
+            nxt.setdefault(tmap.coords(s, v), (s, v))
+    return nxt
+
+
+def _check_work(reached, k, candidate_bound):
+    if reached > candidate_bound:
+        raise BoundExceeded(
+            f"the unit-orbit search needs {reached} tensor products by factor {k}, "
+            f"over the bound {candidate_bound} (passed filters: factor counts "
+            "and (BF, det) multisets match)")
 
 
 def _walk_back(layers, value):

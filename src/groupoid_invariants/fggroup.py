@@ -242,10 +242,6 @@ class FgElement:
     def coords(self) -> tuple[int, ...]:
         return self.free + self.torsion
 
-    def coord(self, i: int) -> int:
-        r = self.group.free_rank
-        return self.free[i] if i < r else self.torsion[i - r]
-
     def __add__(self, other: "FgElement") -> "FgElement":
         self._check(other)
         return self.group.element(
@@ -411,14 +407,6 @@ def _snf_cokernel(m: IntMatrix, snf: SnfResult) -> tuple[FgGroup, QuotientMap]:
     return _projection(list(snf.diagonal()) + [0] * (m.rows - min(m.rows, m.cols)), snf.u)
 
 
-def _snf_kernel(m: IntMatrix, snf: SnfResult) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
-    # the columns of v past the rank span the kernel
-    rank = snf.rank()
-    basis = tuple(tuple(snf.v[i, j] for i in range(m.cols))
-                  for j in range(rank, m.cols))
-    return FgGroup.free(len(basis)), basis
-
-
 def cokernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap]:
     """Z^rows / (m Z^cols) in canonical form, with the projection map."""
     return _snf_cokernel(m, smith_normal_form(m))
@@ -426,7 +414,11 @@ def cokernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap]:
 
 def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
     """The (free) kernel {x in Z^cols : m x = 0} with an explicit basis."""
-    return _snf_kernel(m, smith_normal_form(m))
+    # with u*m*v = s, the columns of v past the rank span the kernel
+    snf = smith_normal_form(m)
+    basis = tuple(tuple(snf.v[i, j] for i in range(m.cols))
+                  for j in range(snf.rank(), m.cols))
+    return FgGroup.free(len(basis)), basis
 
 
 def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, FgGroup, int]:
@@ -445,7 +437,7 @@ def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, FgGroup, in
     if not lu.det:
         snf = smith_normal_form(m)
         grp, qmap = _snf_cokernel(m, snf)
-        return grp, qmap, _snf_kernel(m, snf)[0], 0
+        return grp, qmap, FgGroup.free(m.cols - snf.rank()), 0
     mod = abs(lu.det)
     w = _cyclic_row(m, lu, mod) if certify else None
     if w is None:

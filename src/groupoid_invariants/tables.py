@@ -500,22 +500,21 @@ def alpha_parity(d: int, d_prime: int, arities) -> int:
     return alpha_word(1, d, d_prime, arities)[1]
 
 
-def baker(d: int, d_prime: int, arities, block: int = 1) -> TableElement:
+def baker(d: int, d_prime: int, arities) -> TableElement:
     """Move the first letter of coordinate d_prime onto the front of
-    coordinate d, on the given index block; identity elsewhere."""
+    coordinate d, on index block 1; identity elsewhere."""
     arities = tuple(arities)
     n = len(arities)
     if d == d_prime:
         raise ParseError("need two distinct coordinates")
     if arities[d - 1] != arities[d_prime - 1]:
         raise ParseError("coordinates must have equal arities")
-    empty = _empty_words(n)
-    ents = [(Brick(empty, j), Brick(empty, j)) for j in range(1, block)]
+    ents = []
     for a in range(arities[d_prime - 1]):
         src = tuple((a,) if c == d_prime - 1 else () for c in range(n))
         dst = tuple((a,) if c == d - 1 else () for c in range(n))
-        ents.append((Brick(src, block), Brick(dst, block)))
-    return TableElement(arities, block, 0, tuple(ents))
+        ents.append((Brick(src, 1), Brick(dst, 1)))
+    return TableElement(arities, 1, 0, tuple(ents))
 
 
 @dataclass

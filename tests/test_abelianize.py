@@ -1,5 +1,7 @@
 import random
+from dataclasses import fields
 
+from abelianize_oracle import oracle_abelianization, oracle_extension_data
 from conftest import random_factor_list, random_sft
 from homology_oracle import is_quotient
 from orbit_oracle import primary_orders
@@ -120,3 +122,63 @@ def test_explicit_decomposition_argument():
     assert tfg_abelianization(factors, decomposition=dec) == FgGroup.cyclic(12)
     auto = decompose_all(factors)
     assert auto.factor_orders == ((6,), (6,))
+
+
+def _cyclic_orders(rng, max_torsion):
+    """Invariant-factor orders: up to two Z summands (0) and a divisibility
+    chain, rich in orders = 2 mod 4."""
+    orders = [0] * rng.choice((0, 0, 1, 2))
+    d = rng.choice((2, 3, 4, 6, 10, 12, 14, 18))
+    for _ in range(rng.randint(0, max_torsion)):
+        orders.append(d)
+        d *= rng.choice((1, 2, 3))
+    return orders
+
+
+def _oracle_corpus():
+    """(factors, decomposition) pairs: 300 decompositions of n = 1-5 factors
+    given through the seam, invariant-factor or primary, their Z summands
+    moved between the finite orders, then 60 random factor lists with their
+    own decompositions."""
+    rng = random.Random(1701)
+    pool = [validate([[2]]), validate([[3]]), validate([[7]]), validate(MIXED_66),
+            validate([[2, 1], [1, 2]]), companion_matrix(5, 2)]
+    for k in range(300):
+        n = 1 + k % 5
+        dec = []
+        for _ in range(n):
+            orders = _cyclic_orders(rng, 3 if n <= 3 else 2)
+            if k % 3 == 1:
+                orders = list(primary_orders(orders))
+            if k % 2:
+                rng.shuffle(orders)
+            dec.append(tuple(orders))
+        yield [rng.choice(pool) for _ in range(n)], H0Decomposition(tuple(dec))
+    for _ in range(60):
+        factors = random_factor_list(rng)
+        yield factors, None
+        primary = tuple(primary_orders(decompose_h0(f)) for f in factors)
+        yield factors, H0Decomposition(primary)
+
+
+def test_extension_data_and_group_match_the_per_position_oracle():
+    seen = {"class": 0, "tp": 0, "Z left and right of a finite order": 0,
+            "empty H_0": 0, "n": set()}
+    for factors, dec in _oracle_corpus():
+        got, want = extension_data(factors, dec), oracle_extension_data(factors, dec)
+        for field in fields(got):
+            assert getattr(got, field.name) == getattr(want, field.name), \
+                (field.name, got.decomposition.factor_orders)
+        assert tfg_abelianization(factors, dec) == oracle_abelianization(want)
+        orders = got.decomposition.factor_orders
+        seen["n"].add(len(orders))
+        seen["class"] += len(got.class_components)
+        seen["tp"] += len(got.tp_summands)
+        seen["empty H_0"] += not got.j_index
+        for idx in got.j_index:
+            zeros = [p for p, (o, k) in enumerate(zip(orders, idx)) if o[k] == 0]
+            finite = [p for p, (o, k) in enumerate(zip(orders, idx)) if o[k]]
+            if zeros and finite and min(zeros) < min(finite) and max(zeros) > max(finite):
+                seen["Z left and right of a finite order"] += 1
+    assert seen["n"] == {1, 2, 3, 4, 5}
+    assert min(seen[k] for k in seen if k != "n") > 0, seen

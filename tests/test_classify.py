@@ -303,16 +303,18 @@ def test_product_search_past_the_automorphism_tuple_wall():
 
 def test_orbit_listing_stops_at_the_bound(monkeypatch):
     # BF = Z/100003 for both matrices, units 50002 and 75003: the layers
-    # would need 100002^2 tensor products, so the second orbit is refused
-    # after about bound / 100002 of its elements, not listed in full
+    # would need 100002^2 tensor products, so the two orbits, listed in step,
+    # are refused once 3163 x 3162 of their elements pass the bound, neither
+    # listed in full
     a, b = validate([[3, 1], [1, 50003]]), validate([[5, 1], [1, 25002]])
     assert invariants(a).bf.torsion == invariants(b).bf.torsion == (100003,)
     calls = []
     decide = automorphisms_module._orbit_decision
     monkeypatch.setattr(automorphisms_module, "_orbit_decision",
                         lambda *args, **kw: calls.append(1) or decide(*args, **kw))
-    with pytest.raises(BoundExceeded, match="needs 10000200 tensor products by factor 2"):
+    with pytest.raises(BoundExceeded,
+                       match="needs 10001406 tensor products by factor 2"):
         product_isomorphic([a, a], [b, b])
-    # the first orbit's box, the prune on the tensor product and 101 box
-    # elements of the second orbit
-    assert len(calls) == 100003 + 1 + 101
+    # the prune on the tensor product, then box elements 0..3163 of each
+    # orbit (box element 0 is in neither orbit)
+    assert len(calls) == 1 + 3164 + 3164

@@ -113,16 +113,20 @@ def test_classify_past_the_automorphism_tuple_wall(capsys):
 
 # units (1, 2) (x) u against (1, 0) (x) u in (Z/2 + Z/4) (x) Z/4, u a
 # generator: the layered search evaluates |Orb((1, 2))| * |Orb(u)| = 4
-# tensor products
+# tensor products, and with a third factor Z/4 |S_2| * |Orb(u)| = 4 more
 TINY_A = '{"factors": [[[0,1,0],[1,0,2],[1,3,3]], [[5]]]}'
 TINY_B = '{"factors": [[[3,3,1],[0,3,2],[2,2,3]], [[5]]]}'
+TINY3_A = '{"factors": [[[0,1,0],[1,0,2],[1,3,3]], [[5]], [[5]]]}'
+TINY3_B = '{"factors": [[[3,3,1],[0,3,2],[2,2,3]], [[5]], [[5]]]}'
 
 
 def test_tiny_aut_bound_exits_bound_with_the_work_reached(capsys):
-    assert run(capsys, "classify", TINY_A, TINY_B)[0] == 0
-    code, out, err = run(capsys, "--aut-bound", "3", "classify", TINY_A, TINY_B)
-    assert code == 3 and out == ""
-    assert "needs 4 tensor products" in err and "bound 3" in err
+    for a, b, work, k in ((TINY_A, TINY_B, 4, 2), (TINY3_A, TINY3_B, 8, 3)):
+        assert run(capsys, "--aut-bound", str(work), "classify", a, b)[0] == 0
+        code, out, err = run(capsys, "--aut-bound", str(work - 1), "classify", a, b)
+        assert code == 3 and out == ""
+        assert f"needs {work} tensor products by factor {k}," in err
+        assert f"bound {work - 1}" in err
 
 
 def test_negative_aut_bound_is_an_input_error(capsys, monkeypatch):
