@@ -98,6 +98,9 @@ def extension_data(factors: list[SftMatrix],
         raise ValueError("need at least one factor")
     if decomposition is None:
         decomposition = decompose_all(factors)
+    elif len(decomposition.factor_orders) != len(factors):
+        raise ValueError(f"the decomposition lists {len(decomposition.factor_orders)} "
+                         f"factors, not {len(factors)}")
     invs = [invariants(f) for f in factors]
     n = len(factors)
 

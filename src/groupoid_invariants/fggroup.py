@@ -32,18 +32,19 @@ Cokernels of general matrices (``cokernel``) and kernels (``kernel_group``)
 use the Smith normal form: ``intmatrix``'s one diagonal elimination, run over
 Z with both transforms.  ``cokernel_and_kernel`` takes a square
 presentation m and computes D = det m by one Bareiss elimination, kept as
-a fraction-free LU.  For D != 0, ker m is 0 and coker m has order N = |D|.
-When coker m is cyclic and m has at least ``_CYCLIC_MIN_SIZE`` rows, a few
-adjugate columns from the LU of m^t give a row w with w m = 0 mod N and
-gcd(w, N) = 1, checked on every column, which makes x -> w x mod N an
-isomorphism coker m -> Z/N (``_cyclic_row`` proves it); no elimination
-modulo N runs.  Otherwise, or when the columns tried find no such w,
-coker m comes from the same elimination run modulo N
-(``intmatrix.smith_form_mod_det``).  For D = 0 one Smith normal form
-supplies both.  Every projection, these and the tensor map, is a
-``QuotientMap``; like the tensor map, each is one isomorphism onto the
-canonical form among many, so the coordinates it gives an element are
-meaningful only up to an automorphism.
+a fraction-free LU.  Every path ends in one ``intmatrix.ModularSnf``, the
+factors other than 1 with the rows of the left transform that belong to
+them, and ``_projection`` reads the group and its projection off it.
+When D != 0, coker m is cyclic and m has at least ``_CYCLIC_MIN_SIZE`` rows,
+a few adjugate columns from the LU of m^t give a row w with w m = 0 mod N
+and gcd(w, N) = 1, N = |D|, checked on every column, which makes
+x -> w x mod N an isomorphism coker m -> Z/N (``_cyclic_row`` proves it);
+no elimination runs.  Otherwise the elimination runs modulo N, over Z when D = 0
+(``intmatrix.smith_form_mod_det``), and replays only the rows it reads.
+ker m is free of the rank of coker m, 0 when D != 0.  Every projection,
+these and the tensor map, is a ``QuotientMap``; like the tensor map, each is
+one isomorphism onto the canonical form among many, so the coordinates it
+gives an element are meaningful only up to an automorphism.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalError
-from .intmatrix import (FractionFreeLU, IntMatrix, SnfResult, smith_form_mod_det,
-                        smith_normal_form)
+from .intmatrix import (FractionFreeLU, IntMatrix, ModularSnf, _eliminate,
+                        smith_form_mod_det, smith_normal_form)
 
 
 def _coprime_base(values: Iterable[int]) -> list[int]:
@@ -335,7 +336,7 @@ class GroupHom:
                 col[i] = d
                 cols.append(col)
         m = IntMatrix.from_rows([[col[i] for col in cols] for i in range(cod.num_generators)])
-        diag = smith_normal_form(m).diagonal()
+        diag = _eliminate(m, 0)[0]  # the diagonal alone: no transform is read
         return len(diag) == m.rows and all(d == 1 for d in diag)
 
     @classmethod
@@ -402,14 +403,11 @@ def _projection(diag: Sequence[int], u: IntMatrix) -> tuple[FgGroup, QuotientMap
     return grp, QuotientMap(grp, tuple(columns))
 
 
-def _snf_cokernel(m: IntMatrix, snf: SnfResult) -> tuple[FgGroup, QuotientMap]:
-    # with u*m*v = s, the class of x is u*x read against the diagonal of s
-    return _projection(list(snf.diagonal()) + [0] * (m.rows - min(m.rows, m.cols)), snf.u)
-
-
 def cokernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap]:
     """Z^rows / (m Z^cols) in canonical form, with the projection map."""
-    return _snf_cokernel(m, smith_normal_form(m))
+    # with u*m*v = s, the class of x is u*x read against the diagonal of s
+    snf = smith_normal_form(m)
+    return _projection(list(snf.diagonal()) + [0] * (m.rows - min(m.rows, m.cols)), snf.u)
 
 
 def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
@@ -425,28 +423,20 @@ def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, FgGroup, in
     """coker m with its projection, ker m, and D = det m, for a square m.
 
     D comes from one fraction-free LU (``IntMatrix.fraction_free_lu``), of
-    m^t when the certificate may run, else of m.
-    D != 0: ker m = 0, and coker m comes from a certified isomorphism onto
-    Z/|D| (``_cyclic_row``) or, when that finds none or m has fewer than
-    ``_CYCLIC_MIN_SIZE`` rows, from the elimination modulo |D|
-    (``smith_form_mod_det``).  D = 0: one Smith normal form supplies both.
+    m^t when the certificate may run, else of m.  coker m comes from a
+    certified isomorphism onto Z/|D| (``_cyclic_row``) or, when D = 0, m
+    has fewer than ``_CYCLIC_MIN_SIZE`` rows or the certificate finds none,
+    from the elimination modulo |D| (``smith_form_mod_det``); ker m is free
+    of the rank of coker m.
     """
     certify = m.rows >= _CYCLIC_MIN_SIZE
     # det m^t = det m; only the certificate needs the LU of m^t
     lu = (m.transpose() if certify else m).fraction_free_lu()
-    if not lu.det:
-        snf = smith_normal_form(m)
-        grp, qmap = _snf_cokernel(m, snf)
-        return grp, qmap, FgGroup.free(m.cols - snf.rank()), 0
-    mod = abs(lu.det)
-    w = _cyclic_row(m, lu, mod) if certify else None
-    if w is None:
+    red = _cyclic_row(m, lu) if certify and lu.det else None
+    if red is None:
         red = smith_form_mod_det(m, lu.det)
-        grp, qmap = _projection(red.factors, red.u)
-    else:
-        grp = FgGroup(0, (mod,) if mod > 1 else ())
-        qmap = QuotientMap(grp, tuple(((0, x),) if x else () for x in w))
-    return grp, qmap, FgGroup.trivial(), lu.det
+    grp, qmap = _projection(red.factors, red.u)
+    return grp, qmap, FgGroup.free(grp.free_rank), lu.det
 
 
 # right-hand sides tried before a cokernel is left to smith_form_mod_det
@@ -458,9 +448,10 @@ _CYCLIC_COLUMNS = 6
 _CYCLIC_MIN_SIZE = 8
 
 
-def _cyclic_row(m: IntMatrix, lu: FractionFreeLU, mod: int) -> tuple[int, ...] | None:
+def _cyclic_row(m: IntMatrix, lu: FractionFreeLU) -> ModularSnf | None:
     """A row w for which x -> w x mod N is an isomorphism coker m -> Z/N,
-    N = |det m| = mod, from the LU of m^t; None when none is found.
+    N = |det m| != 0, from the LU of m^t, as ``ModularSnf((N,), w)``
+    (``ModularSnf((), 0 x n)`` when N = 1); None when none is found.
 
     The certificate.  Let w m = 0 mod N and gcd(w_1, ..., w_n, N) = 1.  The
     first makes x -> w x mod N vanish on the image of m, so it factors
@@ -488,8 +479,9 @@ def _cyclic_row(m: IntMatrix, lu: FractionFreeLU, mod: int) -> tuple[int, ...] |
     ``_CYCLIC_COLUMNS`` columns without a certificate, the caller falls back.
     """
     n = m.rows
+    mod = abs(lu.det)
     if mod == 1:
-        return (0,) * n
+        return ModularSnf((), IntMatrix(0, n, ()))
     w: list[int] = []
     g = mod
     state = 1
@@ -514,7 +506,7 @@ def _cyclic_row(m: IntMatrix, lu: FractionFreeLU, mod: int) -> tuple[int, ...] |
     if any(sum(map(mul, w, m.entries[j::n])) % mod for j in range(n)):
         raise InternalError(f"a certificate row does not annihilate the presentation "
                             f"modulo {mod}")
-    return tuple(w)
+    return ModularSnf((mod,), IntMatrix(1, n, tuple(w)))
 
 
 def _piece_order(a: int, b: int) -> int:

@@ -12,17 +12,19 @@ m y = det(m) c.
 
 One diagonal elimination (``_eliminate``) serves cokernels and kernels.  It
 runs over Z/N, N = 0 meaning Z, and logs its row and column operations.
-``smith_normal_form`` is the case N = 0: it replays both transforms from the
-logs, and it is the one for singular and rectangular matrices, whose kernel
-needs the right transform.  ``smith_form_mod_det`` is for a square matrix m
-with det m = D != 0: m @ adj(m) = D * I puts D Z^n inside the image of m, so
+``smith_normal_form`` is the case N = 0 with both transforms replayed from
+the logs, for callers that read them: kernels need the right transform.
+``smith_form_mod_det`` reduces a square matrix m with determinant D and
+replays only the rows of the left transform that a cokernel reads.  For
+D != 0, m @ adj(m) = D * I puts D Z^n inside the image of m, so
 coker m = (Z/|D|)^n / image, and elimination modulo N = |D| keeps every
 entry below |D| (the modular-determinant method of Domich-Kannan-Trotter,
 Math. Oper. Res. 1987, and Hafner-McCurley, SIAM J. Comput. 1991).  Over Z
 the transform entries of a dense n x n matrix grow to thousands of bits;
-modulo |D| they stay at the size of D.  ``fggroup.cokernel_and_kernel``
-needs it only for small matrices and for cokernels that are not cyclic: a
-cyclic one is read off adjugate columns from ``solve``.
+modulo |D| they stay at the size of D.  For D = 0 it eliminates over Z.
+``fggroup.cokernel_and_kernel`` needs it for singular and small matrices and
+for cokernels that are not cyclic: a cyclic one is read off adjugate
+columns from ``solve``.
 """
 
 from __future__ import annotations
@@ -262,13 +264,16 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 @dataclass(frozen=True)
 class ModularSnf:
-    """Diagonal reduction of a square matrix m modulo N = |det m| != 0.
+    """Diagonal reduction of a square matrix m modulo N = |det m|, N = 0
+    meaning Z.
 
     For some u and v invertible modulo N, u @ m @ v is congruent modulo N to
     a diagonal matrix diag(s_1, ..., s_n).  ``factors`` are the gcd(s_i, N)
-    other than 1, a divisibility chain: coker m is their direct sum.  Row r
-    of ``u`` is the row of u that belongs to factors[r], reduced modulo it,
-    so the class of x in coker m has coordinates (u x)_r mod factors[r].
+    other than 1, a divisibility chain with zeros trailing (only for N = 0):
+    coker m is the direct sum of the Z/factors[r], Z/0 = Z.  Row r of ``u``
+    is the row of u that belongs to factors[r], reduced modulo it when it is
+    nonzero, so the class of x in coker m has coordinates (u x)_r, read
+    modulo factors[r].
     """
 
     factors: tuple[int, ...]
@@ -283,18 +288,18 @@ def _inverse_mod(x: int, n: int) -> int:
 
 
 def smith_form_mod_det(m: IntMatrix, det: int) -> ModularSnf:
-    """Reduce a square m with determinant det != 0 modulo N = |det|
-    (``_eliminate``).
+    """Reduce a square m with determinant det modulo N = |det|
+    (``_eliminate``); det = 0 eliminates over Z.
 
-    Only the rows of u that belong to nontrivial factors are replayed from
-    the logged row operations, so u costs O(n^2) per factor instead of
-    O(n^3).
+    Only the rows of u that belong to factors other than 1 are replayed from
+    the logged row operations, and no column of v, so u costs O(n^2) per
+    factor instead of O(n^3).
     """
-    if not m.is_square or det == 0:
-        raise ValueError("need a square matrix and its nonzero determinant")
+    if not m.is_square:
+        raise ValueError("need a square matrix")
     n = m.rows
     diag, log, _ = _eliminate(m, abs(det))
-    first = next((r for r, d in enumerate(diag) if d > 1), n)
+    first = next((r for r, d in enumerate(diag) if d != 1), n)
     u = [x for r in range(first, n) for x in _transform_row(log, r, diag[r], n)]
     return ModularSnf(tuple(diag[first:]), IntMatrix(n - first, n, tuple(u)))
 

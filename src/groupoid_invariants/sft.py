@@ -27,11 +27,12 @@ H_0 has order N = |D|, and:
     columns) H_0 and the unit class come from one elimination modulo N
     (``intmatrix.smith_form_mod_det``).
 
-For D = 0, H_0, the unit class and H_1 come from one Smith normal form.
-Either way ``invariants`` checks exactly that |H_0| = |D| and that the
-exponent of H_0 kills the unit class.  The coordinates of the unit class
-depend on which isomorphism onto the canonical form a path found, so they
-are meaningful only up to an automorphism of H_0: compare unit classes with
+For D = 0 the same elimination runs over Z and gives H_0 and the unit
+class; H_1 is free of the free rank of H_0.  For D != 0 ``invariants``
+checks exactly that |H_0| = |D| and that the exponent of H_0 kills the unit
+class.  The coordinates of the unit class depend on which isomorphism onto
+the canonical form a path found, so they are meaningful only up to an
+automorphism of H_0: compare unit classes with
 ``automorphisms.aut_orbit_equivalent``, never coordinate by coordinate.
 """
 

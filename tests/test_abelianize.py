@@ -1,6 +1,8 @@
 import random
 from dataclasses import fields
 
+import pytest
+
 from abelianize_oracle import oracle_abelianization, oracle_extension_data
 from conftest import random_factor_list, random_sft
 from homology_oracle import is_quotient
@@ -122,6 +124,14 @@ def test_explicit_decomposition_argument():
     assert tfg_abelianization(factors, decomposition=dec) == FgGroup.cyclic(12)
     auto = decompose_all(factors)
     assert auto.factor_orders == ((6,), (6,))
+
+
+def test_a_decomposition_of_another_factor_count_is_rejected():
+    # two factors' orders for one factor once gave Z/12, the group of [[7]] x [[7]]
+    with pytest.raises(ValueError, match="lists 2 factors, not 1"):
+        tfg_abelianization([validate([[7]])], H0Decomposition(((6,), (6,))))
+    with pytest.raises(ValueError, match="lists 1 factors, not 2"):
+        extension_data([validate([[7]])] * 2, H0Decomposition(((6,),)))
 
 
 def _cyclic_orders(rng, max_torsion):

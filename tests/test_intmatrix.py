@@ -92,20 +92,27 @@ def _minor_gcds(m):
 
 def test_modular_factors_match_the_determinantal_divisors():
     # an oracle that shares nothing with the elimination; entries without
-    # many units make pivots that are not units and the divisibility fix-up
+    # many units make pivots that are not units and the divisibility fix-up.
+    # Singular matrices, drawn or made by copying the first row over the
+    # last two, are reduced over Z: their trailing zero factors match the
+    # minor gcds that vanish.
     rng = random.Random(1991)
     values = (0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -6, 9, 10)
-    checked = 0
+    checked, zeros = 0, []
     while checked < 200:
         n = rng.randint(1, 4)
-        m = IntMatrix(n, n, tuple(rng.choice(values) for _ in range(n * n)))
-        det = m.det()
-        if not det:
-            continue
-        checked += 1
-        factors = smith_form_mod_det(m, det).factors
-        diag = (1,) * (n - len(factors)) + factors
-        assert [math.prod(diag[:k]) for k in range(1, n + 1)] == _minor_gcds(m)
+        rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        for m in (IntMatrix.from_rows(rows), IntMatrix.from_rows(rows[:-2] + rows[:1] * 2)):
+            if m.rows != n:
+                continue
+            det = m.det()
+            checked += det != 0
+            factors = smith_form_mod_det(m, det).factors
+            diag = (1,) * (n - len(factors)) + factors
+            assert [math.prod(diag[:k]) for k in range(1, n + 1)] == _minor_gcds(m)
+            if not det:
+                zeros.append(factors.count(0))
+    assert len(zeros) > 100 and {1, 2, 3} <= set(zeros)
 
 
 def _subsets(pool, k):
@@ -223,36 +230,64 @@ def _modular_corpus():
     return [m for m in corpus if m.det() != 0]
 
 
+def _singular_corpus():
+    """Singular square matrices, n = 1-30, with rank deficiency k = 1-3 and
+    torsion: diag(t_1, ..., t_(n-k), 0, ..., 0) hidden by unimodular
+    changes of basis, and dense products B diag(t) C of rank at most n - k."""
+    rng = random.Random(2016)
+    corpus = []
+    for n in range(1, 31):
+        for dense in (False, True, False, True):
+            k = rng.randint(1, min(3, n))
+            t = [1] * (n - k)
+            for i in rng.sample(range(n - k), min(3, n - k)):
+                t[i] = rng.choice((2, 3, 4, 6, 12, -9))
+            if dense:
+                b = IntMatrix(n, n - k, tuple(rng.randint(-2, 2) for _ in range(n * (n - k))))
+                c = IntMatrix(n - k, n, tuple(rng.randint(-2, 2) for _ in range(n * (n - k))))
+                m = b @ IntMatrix.diagonal(t) @ c
+            else:
+                d = IntMatrix.diagonal(t + [0] * k)
+                m = _random_unimodular(rng, n, 2 * n) @ d @ _random_unimodular(rng, n, 2 * n)
+            corpus.append((m, k))
+    return corpus
+
+
 def test_modular_cokernel_matches_snf_cokernel(monkeypatch):
     fallbacks = []
     reduce = fggroup.smith_form_mod_det
     monkeypatch.setattr(fggroup, "smith_form_mod_det",
                         lambda m, det: fallbacks.append(m) or reduce(m, det))
-    corpus = _modular_corpus()
+    corpus = [(m, 0) for m in _modular_corpus()]
     assert len(corpus) > 150
-    expect_fallback = 0
-    for m in corpus:
+    corpus += _singular_corpus()
+    expect_fallback = singular_torsion = 0
+    for m, k in corpus:
         n = m.rows
         det = m.det()
         grp, qmap, ker, got = cokernel_and_kernel(m)
-        expect_fallback += len(grp.torsion) > 1 or n < fggroup._CYCLIC_MIN_SIZE
+        expect_fallback += len(grp.torsion) > 1 or n < fggroup._CYCLIC_MIN_SIZE or not det
         ref, ref_map = cokernel(m)
-        assert grp == ref and ker.is_trivial and got == det
-        assert grp.order() == abs(det)
-        assert grp.torsion == reduce(m, det).factors
+        assert grp == ref and got == det and (det == 0) == (k > 0)
+        assert ker == FgGroup.free(len(kernel_group(m)[1]))
+        assert grp.order() == abs(det) and grp.free_rank >= k  # order 0: infinite
+        assert reduce(m, det).factors == grp.torsion + (0,) * grp.free_rank
+        singular_torsion += k > 0 and bool(grp.torsion)
         # the projection kills the image and its unit vectors generate: with
-        # |grp| = |coker m| it is the cokernel projection
+        # grp = coker m the induced surjection coker m -> grp is bijective (a
+        # surjective endomorphism of a finitely generated abelian group is)
         for j in range(n):
             assert qmap([m[i, j] for i in range(n)]).is_zero
-        basis = [qmap([int(i == k) for i in range(n)]) for k in range(n)]
+        basis = [qmap([int(i == c) for i in range(n)]) for c in range(n)]
         assert GroupHom(FgGroup.free(n), grp, tuple(basis)).is_surjective()
         ones = (1,) * n
         u, ref_u = qmap(ones), ref_map(ones)
         assert u.order() == ref_u.order()
         assert aut_orbit_equivalent(grp, u, ref_u)
-    # both branches run: every cyclic cokernel with at least
+    # both branches run: every nonsingular cyclic cokernel with at least
     # _CYCLIC_MIN_SIZE rows is certified, and exactly the others fall back
     assert 0 < len(fallbacks) == expect_fallback < len(corpus)
+    assert singular_torsion > 90
 
 
 def test_fraction_free_solve_gives_the_adjugate_column():

@@ -255,14 +255,17 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_singular_presentation_takes_one_smith_normal_form(monkeypatch):
-    calls = _count_calls(monkeypatch, "smith_normal_form")
+def test_singular_presentation_takes_one_reduction(monkeypatch):
+    # a singular presentation goes through the one reduction that replays
+    # only the rows it reads, never a Smith normal form with both transforms
+    snf_calls = _count_calls(monkeypatch, "smith_normal_form")
+    calls = _count_calls(monkeypatch, "smith_form_mod_det")
     inv = invariants(validate([[2, 1], [1, 2]]))  # det(id - A) = 0
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][1] == 0 and not snf_calls
     assert inv.det == 0 and inv.bf == FgGroup.free(1) and inv.k1 == FgGroup.free(1)
-    # a nonsingular presentation takes none
+    # a nonsingular presentation takes no Smith normal form either
     inv = invariants(validate([[1, 2], [2, 1]]))
-    assert len(calls) == 1
+    assert not snf_calls
     assert inv.det == -4 and inv.bf == FgGroup.from_orders([2, 2]) and inv.k1.is_trivial
 
 
