@@ -12,9 +12,10 @@ The package computes, with exact integer arithmetic throughout:
     groups over a coprime base, without Smith normal forms (``fggroup``);
   * Aut-orbit decisions, witnesses and orbit listings on group elements
     (``automorphisms``);
-  * Bowen-Franks data, homology, K-groups and full-group abelianizations of
-    single SFT groupoids (``sft``) and of finite products (``homology``,
-    ``abelianize``);
+  * one record per SFT groupoid, its Bowen-Franks group, unit class and
+    det(id - A) (``sft``), from which the homology, K-groups and full-group
+    abelianizations of single SFT groupoids and of finite products follow
+    (``sft``, ``homology``, ``abelianize``);
   * isomorphism and Morita-equivalence decisions (``classify``);
   * the prefix-table model of the generalized higher-dimensional Thompson
     groups, their defining relations and finite cyclic characters
@@ -22,8 +23,7 @@ The package computes, with exact integer arithmetic throughout:
   * a scriptable CLI (``cli``, console command ``gi``).
 """
 
-from .abelianize import (H0Decomposition, decompose_all, decompose_h0,
-                         extension_data, strong_ah, tfg_abelianization)
+from .abelianize import extension_data, strong_ah, tfg_abelianization
 from .automorphisms import aut_orbit_equivalent, aut_orbit_witness, torsion_orbit
 from .classify import (ClassificationVerdict, ProductWitness,
                        product_isomorphic, sft_isomorphic, sft_morita)
@@ -33,16 +33,15 @@ from .errors import (BoundExceeded, IncompatibleParameters, InternalError,
 from .fggroup import (FgElement, FgGroup, GroupHom, QuotientMap, TensorMap,
                       cokernel, cokernel_and_kernel, direct_sum,
                       kernel_group, tensor, tor)
-from .graded import GradedGroups
-from .homology import (HkReport, KTheory, hk_check, product_homology,
-                       product_k_theory)
+from .homology import (GradedGroups, HkReport, KTheory, hk_check,
+                       product_homology, product_k_theory)
 from .intmatrix import (FractionFreeLU, IntMatrix, ModularSnf, SnfResult,
                         smith_form_mod_det, smith_normal_form)
 from .sft import (SftInvariants, SftMatrix, companion_matrix, invariants,
                   is_primitive, sft_abelianization, thompson_factor_list,
                   validate)
 from .tables import (Brick, CharacterAssignment, RelationReport, TableElement,
-                     alpha_element, alpha_parity, alpha_word, baker,
+                     alpha_element, alpha_parity, baker,
                      character_search, compose, compose_all, equal, gen_s,
                      gen_tau, identity, inverse, permutation_element,
                      tau_tilde, verify_relations)

@@ -33,6 +33,11 @@ treat 0 as the identity.  For i = (m_1, ..., m_n) let g = gcd(i).
 The class is thus block diagonal over tuples: each nonsplit block glues its
 Z/2 onto T_p*(i) = Z/g as Z/(2 g), every other block contributes its
 summands split.
+
+The public functions take each factor's cyclic orders from its Bowen-Franks
+group, ``FgGroup.orders()``: the invariant factors, after a zero for each Z.
+The closed form holds for any cyclic decompositions, and the tests feed
+others through the private ``_extension_data``.
 """
 
 from __future__ import annotations
@@ -40,70 +45,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd
+from typing import Sequence
 
-from .errors import InternalError
 from .fggroup import FgGroup, direct_sum, tensor
-from .sft import SftMatrix, invariants
-
-
-@dataclass(frozen=True)
-class H0Decomposition:
-    """Chosen cyclic decompositions of the factor H_0 groups (0 means Z)."""
-
-    factor_orders: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for orders in self.factor_orders:
-            if any(m == 1 or m < 0 for m in orders):
-                raise ValueError("cyclic orders must be 0 or >= 2")
-
-
-def decompose_h0(a: SftMatrix) -> tuple[int, ...]:
-    """Cyclic orders of H_0 for one factor: its invariant factors, with the
-    free rank showing up as zeros."""
-    return invariants(a).bf.orders()
-
-
-def decompose_all(factors: list[SftMatrix]) -> H0Decomposition:
-    dec = H0Decomposition(tuple(decompose_h0(f) for f in factors))
-    for orders, f in zip(dec.factor_orders, factors):
-        if FgGroup.from_orders(orders) != invariants(f).bf:
-            raise InternalError("cyclic decomposition does not rebuild the Bowen-Franks group")
-    return dec
+from .sft import SftInvariants, SftMatrix, invariants
 
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """All data of the extension describing [[G]]_ab.
+    """All data of the extension describing [[G]]_ab, and the group.
 
-    Tuples index the chosen cyclic summands per factor (0-based); p is the
-    1-based Tor position, 1 <= p <= n-1.  ``tp_summands`` records the cyclic
-    order g of each nonzero T_p(i); ``class_components`` lists the (p, i, i')
+    Tuples index the cyclic summands per factor (0-based); p is the 1-based
+    Tor position, 1 <= p <= n-1.  ``tp_summands`` records the cyclic order g
+    of each nonzero T_p(i); ``class_components`` lists the (p, i, i')
     triples carrying the nontrivial Ext component (always with i == i').
+    ``group`` is [[G]]_ab in canonical form: the split part, every T_p(i),
+    and the Z/2 of each tuple of J_0, glued onto T_p*(i) where the class
+    has its component (p*, i, i).
     """
 
-    decomposition: H0Decomposition
     split_part: FgGroup
-    j_index: tuple[tuple[int, ...], ...]
     kernel_index: tuple[tuple[int, ...], ...]
     tp_summands: dict[tuple[int, tuple[int, ...]], int]
     class_components: frozenset[tuple[int, tuple[int, ...], tuple[int, ...]]]
+    group: FgGroup
 
 
-def extension_data(factors: list[SftMatrix],
-                   decomposition: H0Decomposition | None = None) -> ExtensionData:
-    """Compute S(i), T_p(i), J_0 and the extension-class support, each tuple
-    by the closed form of the module docstring."""
+def extension_data(factors: list[SftMatrix]) -> ExtensionData:
+    """Compute S(i), T_p(i), J_0, the extension-class support and [[G]]_ab,
+    each tuple by the closed form of the module docstring."""
     if not factors:
         raise ValueError("need at least one factor")
-    if decomposition is None:
-        decomposition = decompose_all(factors)
-    elif len(decomposition.factor_orders) != len(factors):
-        raise ValueError(f"the decomposition lists {len(decomposition.factor_orders)} "
-                         f"factors, not {len(factors)}")
     invs = [invariants(f) for f in factors]
-    n = len(factors)
+    return _extension_data(invs, [v.bf.orders() for v in invs])
 
+
+def _extension_data(invs: Sequence[SftInvariants],
+                    orders: Sequence[Sequence[int]]) -> ExtensionData:
+    """The closed form for factors with the given (K_1, BF) groups, over
+    the tuples of ``orders``, a cyclic decomposition of each BF (0 = Z)."""
+    n = len(invs)
     split_parts = []
     for j in range(n):
         chain = invs[j].k1
@@ -113,46 +94,35 @@ def extension_data(factors: list[SftMatrix],
         split_parts.append(chain)
     split_part = direct_sum(*split_parts)
 
-    orders = decomposition.factor_orders
-    j_index = tuple(iproduct(*(range(len(o)) for o in orders)))
     kernel_index = []
     tp_summands: dict[tuple[int, tuple[int, ...]], int] = {}
     components = []
-    for idx in j_index:
+    group_orders = list(split_part.orders())
+    for idx in iproduct(*(range(len(o)) for o in orders)):
         m_vec = [orders[d][k] for d, k in enumerate(idx)]
         g = gcd(*m_vec)
+        twos = [p for p, m in enumerate(m_vec, start=1) if m % 4 == 2]
+        star = None
+        if g % 2 == 0 and len(twos) < 3:  # every order is even iff g is
+            kernel_index.append(idx)
+            if len(twos) == 2:
+                star = twos[0]
+                components.append((star, idx, idx))
+            else:
+                group_orders.append(2)
         if g > 1:
             # the nonzero positions that have a nonzero order to their right
             nonzero = [p for p, m in enumerate(m_vec, start=1) if m]
             for p in nonzero[:-1]:
                 tp_summands[(p, idx)] = g
-        twos = [p for p, m in enumerate(m_vec, start=1) if m % 4 == 2]
-        if g % 2 == 0 and len(twos) < 3:  # every order is even iff g is
-            kernel_index.append(idx)
-            if len(twos) == 2:
-                components.append((twos[0], idx, idx))
-    return ExtensionData(decomposition, split_part, j_index, tuple(kernel_index),
-                         tp_summands, frozenset(components))
+                group_orders.append(2 * g if p == star else g)
+    return ExtensionData(split_part, tuple(kernel_index), tp_summands,
+                         frozenset(components), FgGroup.from_orders(group_orders))
 
 
-def tfg_abelianization(factors: list[SftMatrix],
-                       decomposition: H0Decomposition | None = None) -> FgGroup:
-    """The full-group abelianization of the product groupoid, canonical form:
-    the split part, every T_p(i), and the Z/2 of each tuple of J_0, glued
-    onto T_p*(i) where the class has its component (p*, i, i)."""
-    data = extension_data(factors, decomposition)
-    kernel = set(data.kernel_index)
-    star: dict[tuple[int, ...], int] = {}
-    for p, idx, idx2 in data.class_components:
-        if idx != idx2 or idx in star or idx not in kernel or (p, idx) not in data.tp_summands:
-            raise InternalError("extension class must be block diagonal, "
-                                "on tuples of J_0 with a T_p summand")
-        star[idx] = p
-    orders = list(data.split_part.orders())
-    orders.extend(2 * g if star.get(idx) == p else g
-                  for (p, idx), g in data.tp_summands.items())
-    orders.extend(2 for idx in data.kernel_index if idx not in star)
-    return FgGroup.from_orders(orders)
+def tfg_abelianization(factors: list[SftMatrix]) -> FgGroup:
+    """The full-group abelianization of the product groupoid, canonical form."""
+    return extension_data(factors).group
 
 
 def strong_ah(factors: list[SftMatrix]) -> bool:

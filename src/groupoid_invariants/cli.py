@@ -35,8 +35,7 @@ from .abelianize import strong_ah, tfg_abelianization
 from .automorphisms import DEFAULT_CANDIDATE_BOUND
 from .classify import product_isomorphic, sft_morita
 from .fggroup import FgElement, FgGroup
-from .graded import GradedGroups
-from .homology import hk_check, product_homology, product_k_theory
+from .homology import GradedGroups, hk_check, product_homology, product_k_theory
 from .sft import SftMatrix, invariants, validate
 from .tables import baker, character_search, compose, equal, verify_relations
 
@@ -132,16 +131,17 @@ def _cmd_invariants(args) -> int:
     recs, lines = [], []
     for i, f in enumerate(factors):
         inv = invariants(f)
+        hom = product_homology([f])
         recs.append({
             "bf": _group_json(inv.bf),
             "det_sign": inv.det_sign,
-            "homology": _graded_json(inv.homology),
+            "homology": _graded_json(hom),
             "k0": _group_json(inv.k0),
             "k1": _group_json(inv.k1),
             "unit": _elem_json(inv.unit),
         })
         lines.append(f"factor {i}: BF = {inv.bf}, unit = {inv.unit.coords()}, "
-                     f"det sign = {inv.det_sign:+d}, H = [{inv.homology}], "
+                     f"det sign = {inv.det_sign:+d}, H = [{hom}], "
                      f"K_0 = {inv.k0}, K_1 = {inv.k1}")
     _emit(args, {"factors": recs}, lines)
     return EXIT_OK

@@ -41,7 +41,7 @@ and gcd(w, N) = 1, N = |D|, checked on every column, which makes
 x -> w x mod N an isomorphism coker m -> Z/N (``_cyclic_row`` proves it);
 no elimination runs.  Otherwise the elimination runs modulo N, over Z when D = 0
 (``intmatrix.smith_form_mod_det``), and replays only the rows it reads.
-ker m is free of the rank of coker m, 0 when D != 0.  Every projection,
+ker m, free of the free rank of coker m, is left to the caller.  Every projection,
 these and the tensor map, is a ``QuotientMap``; like the tensor map, each is
 one isomorphism onto the canonical form among many, so the coordinates it
 gives an element are meaningful only up to an automorphism.
@@ -419,15 +419,15 @@ def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
     return FgGroup.free(len(basis)), basis
 
 
-def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, FgGroup, int]:
-    """coker m with its projection, ker m, and D = det m, for a square m.
+def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, int]:
+    """coker m with its projection, and D = det m, for a square m.
 
     D comes from one fraction-free LU (``IntMatrix.fraction_free_lu``), of
     m^t when the certificate may run, else of m.  coker m comes from a
     certified isomorphism onto Z/|D| (``_cyclic_row``) or, when D = 0, m
     has fewer than ``_CYCLIC_MIN_SIZE`` rows or the certificate finds none,
-    from the elimination modulo |D| (``smith_form_mod_det``); ker m is free
-    of the rank of coker m.
+    from the elimination modulo |D| (``smith_form_mod_det``).  ker m is free
+    of the free rank of coker m, so it needs no slot here.
     """
     certify = m.rows >= _CYCLIC_MIN_SIZE
     # det m^t = det m; only the certificate needs the LU of m^t
@@ -435,8 +435,7 @@ def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, FgGroup, in
     red = _cyclic_row(m, lu) if certify and lu.det else None
     if red is None:
         red = smith_form_mod_det(m, lu.det)
-    grp, qmap = _projection(red.factors, red.u)
-    return grp, qmap, FgGroup.free(grp.free_rank), lu.det
+    return (*_projection(red.factors, red.u), lu.det)
 
 
 # right-hand sides tried before a cokernel is left to smith_form_mod_det

@@ -9,6 +9,10 @@ degree-0 tensor product.  The test suite checks every degree, and the unit
 up to automorphism, against the homology of the tensor product of the
 factors' chain complexes, computed from Smith normal forms alone.
 
+With one factor the closed form is H_0 = BF, H_1 = K_1 and nothing above,
+the homology that ``gi invariants`` prints for each factor.  The result is
+a ``GradedGroups``: the nontrivial groups by degree, with the unit class.
+
 K-groups iterate the Z/2-graded Kunneth formula for the factor C*-algebras,
 seeded with the single-factor identification K_i = H_i, and ``hk_check``
 confirms (+) H_even = K_0 and (+) H_odd = K_1.
@@ -20,8 +24,51 @@ from dataclasses import dataclass
 from math import comb
 
 from .fggroup import FgElement, FgGroup, direct_sum, tensor, tor
-from .graded import GradedGroups
 from .sft import SftMatrix, invariants
+
+
+class GradedGroups:
+    """Finitely supported map degree -> FgGroup plus a degree-0 unit class.
+
+    Equality compares the groups degreewise (canonical forms); the unit class
+    is checked separately where it matters, because the isomorphism that
+    identifies two computations of the same homology is not canonical.
+    """
+
+    def __init__(self, groups: dict[int, FgGroup], unit_class: FgElement):
+        if any(n < 0 for n in groups):
+            raise ValueError("negative degree")
+        self._groups = {n: g for n, g in sorted(groups.items()) if not g.is_trivial}
+        if unit_class.group != self.group_at(0):
+            raise ValueError("unit class must live in degree 0")
+        self.unit_class = unit_class
+
+    def group_at(self, n: int) -> FgGroup:
+        return self._groups.get(n, FgGroup.trivial())
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(self._groups)
+
+    def items(self):
+        return tuple(self._groups.items())
+
+    @property
+    def max_degree(self) -> int:
+        return max(self._groups, default=0)
+
+    def __eq__(self, other):
+        if not isinstance(other, GradedGroups):
+            return NotImplemented
+        return self._groups == other._groups
+
+    def __hash__(self):
+        return hash(tuple(self._groups.items()))
+
+    def __str__(self):
+        if not self._groups:
+            return "H_0 = 0"
+        return "; ".join(f"H_{n} = {g}" for n, g in self._groups.items())
 
 
 def _tensor_chain(groups_units: list[tuple[FgGroup, FgElement | None]]):

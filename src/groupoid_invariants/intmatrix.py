@@ -40,7 +40,10 @@ from .errors import InternalError
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable dense integer matrix, row-major storage."""
+    """Immutable dense integer matrix, row-major storage.
+
+    Entries are read through ``operator.index``, so any entry that is not an
+    integer raises ValueError, with its position, at construction."""
 
     rows: int
     cols: int
@@ -51,6 +54,17 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
+        # one pass at C speed when the entries are already a tuple of ints
+        if type(self.entries) is tuple and set(map(type, self.entries)) <= {int}:
+            return
+        ints = []
+        for k, x in enumerate(self.entries):
+            try:
+                ints.append(index(x))
+            except TypeError:
+                raise ValueError(f"entry ({k // self.cols}, {k % self.cols}) is {x!r}, "
+                                 "not an integer") from None
+        object.__setattr__(self, "entries", tuple(ints))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -59,13 +73,7 @@ class IntMatrix:
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise ValueError("ragged rows")
-        try:
-            flat = tuple(map(index, chain.from_iterable(rows)))
-        except TypeError:
-            i, j, x = next((i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r)
-                           if not hasattr(type(x), "__index__"))
-            raise ValueError(f"entry ({i}, {j}) is {x!r}, not an integer") from None
-        return cls(n, m, flat)
+        return cls(n, m, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":

@@ -1,15 +1,19 @@
 """Single shift-of-finite-type groupoid invariants.
 
 For an irreducible, non-permutation adjacency matrix A the groupoid
-invariants are exact integer-linear-algebra data:
+invariants are exact integer-linear-algebra data.  ``invariants`` stores
+one record, ``SftInvariants(bf, unit, det)``:
 
   * H_0 = K_0 = coker(id - A^t) on Z^N  (the Bowen-Franks group of A^t),
-  * H_1 = K_1 = ker(id - A^t), a free group,
   * the unit class u_A = class of (1, ..., 1) in H_0,
-  * det(id - A) and its sign,
-  * the full-group abelianization (H_0 (x) Z/2) (+) H_1.
+  * det(id - A) = det(id - A^t).
 
-``invariants`` gets all of it from ``fggroup.cokernel_and_kernel`` of the
+The rest is derived from it: the sign of det; H_1 = K_1 = ker(id - A^t),
+which is free of the free rank of H_0, because a square integer matrix
+has a kernel of the rank of its cokernel's free part; and the full-group
+abelianization (H_0 (x) Z/2) (+) H_1.
+
+``invariants`` gets the record from ``fggroup.cokernel_and_kernel`` of the
 presentation id - A^t, which computes D = det(id - A^t) once, by one
 Bareiss elimination kept as a fraction-free LU.  For D != 0, H_1 = 0 and
 H_0 has order N = |D|, and:
@@ -28,9 +32,8 @@ H_0 has order N = |D|, and:
     (``intmatrix.smith_form_mod_det``).
 
 For D = 0 the same elimination runs over Z and gives H_0 and the unit
-class; H_1 is free of the free rank of H_0.  For D != 0 ``invariants``
-checks exactly that |H_0| = |D| and that the exponent of H_0 kills the unit
-class.  The coordinates of the unit class depend on which isomorphism onto
+class.  For D != 0 ``invariants`` checks exactly that |H_0| = |D| and that
+the exponent of H_0 kills the unit class.  The coordinates of the unit class depend on which isomorphism onto
 the canonical form a path found, so they are meaningful only up to an
 automorphism of H_0: compare unit classes with
 ``automorphisms.aut_orbit_equivalent``, never coordinate by coordinate.
@@ -44,7 +47,6 @@ from math import gcd
 
 from . import errors
 from .fggroup import FgElement, FgGroup, cokernel_and_kernel, direct_sum, tensor
-from .graded import GradedGroups
 from .intmatrix import IntMatrix
 
 
@@ -124,23 +126,37 @@ def _is_permutation(m: IntMatrix) -> bool:
 
 @dataclass(frozen=True)
 class SftInvariants:
+    """The record that fixes one factor: BF, the unit class and det(id - A).
+
+    The rest follows from it: K_0 = H_0 = BF, and K_1 = H_1 is free of the
+    free rank of BF.
+    """
+
     bf: FgGroup
     unit: FgElement
     det: int
-    det_sign: int
-    homology: GradedGroups
-    k0: FgGroup
-    k1: FgGroup
+
+    @property
+    def det_sign(self) -> int:
+        return (self.det > 0) - (self.det < 0)
+
+    @property
+    def k0(self) -> FgGroup:
+        return self.bf
+
+    @property
+    def k1(self) -> FgGroup:
+        return FgGroup.free(self.bf.free_rank)
 
 
 def invariants(a: SftMatrix) -> SftInvariants:
-    """Bowen-Franks, homology and K data of one SFT, computed once per SftMatrix."""
+    """The (BF, unit, det) record of one SFT, computed once per SftMatrix."""
     return a._invariants
 
 
 def _compute_invariants(m: IntMatrix) -> SftInvariants:
     n = m.rows
-    bf, qmap, h1, det = cokernel_and_kernel(IntMatrix.identity(n) - m.transpose())
+    bf, qmap, det = cokernel_and_kernel(IntMatrix.identity(n) - m.transpose())
     unit = qmap((1,) * n)
     if det:
         exponent = bf.torsion[-1] if bf.torsion else 1
@@ -148,16 +164,7 @@ def _compute_invariants(m: IntMatrix) -> SftInvariants:
             raise errors.InternalError(
                 f"|det| = {abs(det)} but the cokernel gave BF = {bf} "
                 f"with unit class {unit.coords()}")
-    homology = GradedGroups({0: bf, 1: h1}, unit)
-    return SftInvariants(
-        bf=bf,
-        unit=unit,
-        det=det,
-        det_sign=(det > 0) - (det < 0),
-        homology=homology,
-        k0=bf,
-        k1=h1,
-    )
+    return SftInvariants(bf, unit, det)
 
 
 def is_primitive(a: SftMatrix) -> bool:

@@ -43,7 +43,7 @@ from math import gcd, prod
 from operator import add, index, itemgetter, sub
 from typing import NamedTuple
 
-from .errors import BoundExceeded, IncompatibleParameters, InternalError, ParseError
+from .errors import BoundExceeded, IncompatibleParameters, ParseError
 from .intmatrix import IntMatrix, smith_normal_form
 
 MAX_WORD_DEPTH = 64
@@ -452,52 +452,21 @@ def alpha_element(i: int, d: int, d_prime: int, arities) -> TableElement:
     return permutation_element(_grid_permutation(i, d, d_prime, arities), arities)
 
 
-def alpha_word(i: int, d: int, d_prime: int, arities):
-    """A word of transpositions realizing the grid permutation, plus its parity.
+def alpha_parity(d: int, d_prime: int, arities) -> int:
+    """Parity of the grid permutation of ``alpha_element``:
+    C(k(d), 2) C(k(d'), 2) mod 2.
 
-    Returns (indices, parity) where indices lists j's of the transpositions
-    (j j+1), applied right to left, and parity is len(indices) mod 2.
+    The permutation sends the cell (p, q) of a k(d') x k(d) grid, read row
+    by row, to its place in the transposed grid, read row by row; that is,
+    it orders the cells by (p, q) before and by (q, p) after.  Two cells
+    with p < p' swap order exactly when q > q', and two cells in one row
+    keep it.  So the inversions are the pairs of rows times the pairs of
+    columns, C(k(d'), 2) C(k(d), 2) of them.
     """
     if d == d_prime:
         raise ValueError("need two distinct coordinates")
-    arities = tuple(arities)
-    perm = _grid_permutation(i, d, d_prime, arities)
-    block = sorted(perm)
-    # bubble-sort the one-line form; recorded adjacent swaps compose, applied
-    # right to left, to the permutation itself
-    arr = [perm[x] for x in block]
-    word: list[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(arr) - 1):
-            if arr[t] > arr[t + 1]:
-                arr[t], arr[t + 1] = arr[t + 1], arr[t]
-                word.append(block[0] + t)
-                changed = True
-    word.reverse()
-    # sanity: the recorded word really induces the permutation
-    if _word_permutation(word, block) != perm:
-        raise InternalError("transposition word does not realize the permutation")
-    return tuple(word), len(word) % 2
-
-
-def _word_permutation(word, domain) -> dict[int, int]:
-    """Permutation induced by a transposition word, rightmost applied first."""
-    out = {}
-    for x in domain:
-        y = x
-        for j in reversed(word):
-            if y == j:
-                y = j + 1
-            elif y == j + 1:
-                y = j
-        out[x] = y
-    return out
-
-
-def alpha_parity(d: int, d_prime: int, arities) -> int:
-    return alpha_word(1, d, d_prime, arities)[1]
+    kd, kdp = arities[d - 1], arities[d_prime - 1]
+    return kd * (kd - 1) // 2 * (kdp * (kdp - 1) // 2) % 2
 
 
 def baker(d: int, d_prime: int, arities) -> TableElement:

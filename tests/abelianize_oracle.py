@@ -1,19 +1,20 @@
-"""Position-by-position reference for ``abelianize.extension_data`` and
-tuple-by-tuple reference for ``tfg_abelianization``.
+"""Position-by-position reference for the closed form of ``abelianize``.
 
-For each tuple i of cyclic orders and each Tor position p it evaluates
-T_p(i) by the gcd chain (g0 right of p, gcd with the order at p, g1 left of
-p) and the extension class by the three clauses of the ``abelianize``
-docstring, one position at a time.  The library takes the closed form of
-the same docstring: one gcd per tuple and the first of two orders = 2 mod 4.
-``oracle_abelianization`` assembles the group block by block, each tuple's
-T_p(i) collected first and its Z/2 glued onto the one at p*.
+``oracle_extension_data(factors, orders)`` takes any cyclic decomposition
+of the factors' H_0 groups, the same input as the library's private
+``abelianize._extension_data``.  For each tuple i of cyclic orders and each
+Tor position p it evaluates T_p(i) by the gcd chain (g0 right of p, gcd
+with the order at p, g1 left of p) and the extension class by the three
+clauses of the ``abelianize`` docstring, one position at a time.  The
+library takes the closed form of the same docstring: one gcd per tuple and
+the first of two orders = 2 mod 4.  The group is assembled block by block,
+each tuple's T_p(i) collected first and its Z/2 glued onto the one at p*.
 """
 
 from itertools import product as iproduct
 from math import gcd
 
-from groupoid_invariants.abelianize import ExtensionData, decompose_all
+from groupoid_invariants.abelianize import ExtensionData
 from groupoid_invariants.fggroup import FgGroup, direct_sum, tensor
 from groupoid_invariants.sft import invariants
 
@@ -29,11 +30,9 @@ def tp_order(m_vec, p):
     return gcd(g1, g)
 
 
-def oracle_extension_data(factors, decomposition=None):
-    if decomposition is None:
-        decomposition = decompose_all(factors)
+def oracle_extension_data(factors, orders):
     invs = [invariants(f) for f in factors]
-    n = len(decomposition.factor_orders)
+    n = len(orders)
 
     split_parts = []
     for j in range(len(factors)):
@@ -44,12 +43,12 @@ def oracle_extension_data(factors, decomposition=None):
         split_parts.append(chain)
     split_part = direct_sum(*split_parts)
 
-    j_index = tuple(iproduct(*(range(len(o)) for o in decomposition.factor_orders)))
+    j_index = tuple(iproduct(*(range(len(o)) for o in orders)))
     kernel_index = []
     tp_summands = {}
     components = []
     for idx in j_index:
-        m_vec = tuple(decomposition.factor_orders[d][idx[d]] for d in range(n))
+        m_vec = tuple(orders[d][idx[d]] for d in range(n))
         twos = sum(1 for m in m_vec if m % 4 == 2)
         in_kernel = all(m % 2 == 0 for m in m_vec) and twos < 3
         if in_kernel:
@@ -66,23 +65,24 @@ def oracle_extension_data(factors, decomposition=None):
             # the Ext target S(i') (x) Z/2 only exists for tuples indexing S_0
             if nontrivial and in_kernel:
                 components.append((p, idx, idx))
-    return ExtensionData(decomposition, split_part, j_index, tuple(kernel_index),
-                         tp_summands, frozenset(components))
+    group = _assemble(split_part, j_index, kernel_index, tp_summands, components)
+    return ExtensionData(split_part, tuple(kernel_index), tp_summands,
+                         frozenset(components), group)
 
 
-def oracle_abelianization(data):
-    orders = list(data.split_part.orders())
+def _assemble(split_part, j_index, kernel_index, tp_summands, components):
+    orders = list(split_part.orders())
     by_tuple = {}
-    for (p, idx), g in data.tp_summands.items():
+    for (p, idx), g in tp_summands.items():
         by_tuple.setdefault(idx, []).append((p, g))
-    star = {idx: p for p, idx, _ in data.class_components}
-    for idx in data.j_index:
+    star = {idx: p for p, idx, _ in components}
+    for idx in j_index:
         tps = by_tuple.get(idx, [])
-        if idx in data.kernel_index and idx in star:
+        if idx in kernel_index and idx in star:
             orders.append(2 * dict(tps)[star[idx]])
             orders.extend(g for p, g in tps if p != star[idx])
         else:
             orders.extend(g for _, g in tps)
-            if idx in data.kernel_index:
+            if idx in kernel_index:
                 orders.append(2)
     return FgGroup.from_orders(orders)

@@ -17,6 +17,11 @@ e0 (e1 (... e_last)) of the library's ``compose``, one generator at a time.
 ``oracle_characters(n, k, m)`` solves the reduced character system of
 ``tables.character_search`` by trying all m^n values of x for every
 admissible t, in (t, x) order.
+
+``alpha_word(i, d, d', k)`` spells the grid permutation of
+``tables.alpha_element`` as a word of adjacent transpositions, found by
+bubble sort and checked against the permutation, with its parity: the
+reference for the closed form of ``tables.alpha_parity``.
 """
 
 from fractions import Fraction
@@ -24,7 +29,8 @@ from itertools import product
 
 from groupoid_invariants.errors import BoundExceeded
 from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, CharacterAssignment,
-                                        TableElement, alpha_parity, compose, inverse)
+                                        TableElement, _grid_permutation, alpha_parity,
+                                        compose, inverse)
 
 
 def mass(brick, arities) -> Fraction:
@@ -135,3 +141,36 @@ def oracle_characters(n, k, m) -> list[CharacterAssignment]:
                     - e * t) % m == 0 for (d, dp), e in eps.items()):
                 out.append(CharacterAssignment(m, xs, t))
     return out
+
+
+def alpha_word(i, d, d_prime, arities):
+    """A word of transpositions realizing the grid permutation, plus its parity.
+
+    Returns (indices, parity) where indices lists j's of the transpositions
+    (j j+1), applied right to left, and parity is len(indices) mod 2.
+    """
+    perm = _grid_permutation(i, d, d_prime, tuple(arities))
+    block = sorted(perm)
+    # bubble-sort the one-line form; recorded adjacent swaps compose, applied
+    # right to left, to the permutation itself
+    arr = [perm[x] for x in block]
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(arr) - 1):
+            if arr[t] > arr[t + 1]:
+                arr[t], arr[t + 1] = arr[t + 1], arr[t]
+                word.append(block[0] + t)
+                changed = True
+    word.reverse()
+    assert _word_permutation(word, block) == perm
+    return tuple(word), len(word) % 2
+
+
+def _word_permutation(word, domain):
+    """Permutation induced by a transposition word, rightmost applied first."""
+    at = {x: x for x in domain}  # at[y]: the point that the letters so far sent to y
+    for j in reversed(word):
+        at[j], at[j + 1] = at[j + 1], at[j]
+    return {x: y for y, x in at.items()}

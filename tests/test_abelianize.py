@@ -1,14 +1,12 @@
 import random
 from dataclasses import fields
+from itertools import product as iproduct
 
-import pytest
-
-from abelianize_oracle import oracle_abelianization, oracle_extension_data
+from abelianize_oracle import oracle_extension_data
 from conftest import random_factor_list, random_sft
 from homology_oracle import is_quotient
 from orbit_oracle import primary_orders
-from groupoid_invariants.abelianize import (H0Decomposition, decompose_all,
-                                            decompose_h0, extension_data,
+from groupoid_invariants.abelianize import (_extension_data, extension_data,
                                             strong_ah, tfg_abelianization)
 from groupoid_invariants.fggroup import FgGroup
 from groupoid_invariants.homology import product_homology
@@ -19,11 +17,18 @@ from groupoid_invariants.sft import (companion_matrix, invariants,
 MIXED_66 = [[7, 6], [6, 13]]  # BF(A^t) = Z/6 (+) Z/6
 
 
-def test_decompose_h0_examples():
-    assert decompose_h0(validate([[5]])) == (4,)
-    assert decompose_h0(validate([[2]])) == ()
-    assert decompose_h0(validate([[2, 1], [1, 2]])) == (0,)
-    assert decompose_h0(validate(MIXED_66)) == (6, 6)
+def _orders(factors):
+    """The cyclic orders that extension_data reads: BF's, a zero per Z."""
+    return [invariants(f).bf.orders() for f in factors]
+
+
+def _tuples(orders):
+    return iproduct(*(range(len(o)) for o in orders))
+
+
+def test_h0_orders_examples():
+    assert _orders([validate([[5]]), validate([[2]]), validate([[2, 1], [1, 2]]),
+                    validate(MIXED_66)]) == [(4,), (), (0,), (6, 6)]
 
 
 def test_extension_data_two_odd_full_shifts():
@@ -31,7 +36,6 @@ def test_extension_data_two_odd_full_shifts():
     # in J_0 and its T_1 block carries the nontrivial class
     for k in (3, 7):
         data = extension_data([validate([[k]]), validate([[k]])])
-        assert data.j_index == ((0, 0),)
         assert data.kernel_index == ((0, 0),)
         assert data.tp_summands == {(1, (0, 0)): k - 1}
         assert data.class_components == {(1, (0, 0), (0, 0))}
@@ -49,8 +53,7 @@ def test_extension_data_even_full_shifts():
 def test_extension_data_mixed_66():
     data = extension_data([validate(MIXED_66), validate([[7]])])
     # tuples pair each of the two Z/6 summands with the single Z/6
-    assert len(data.j_index) == 2
-    assert set(data.kernel_index) == set(data.j_index)
+    assert data.kernel_index == ((0, 0), (1, 0))
     comps = {(p, i) for (p, i, _) in data.class_components}
     assert comps == {(1, (0, 0)), (1, (1, 0))}
 
@@ -87,13 +90,10 @@ def test_strong_ah_matches_kernel_triviality(rng):
     # strong AH iff ker j = 0 iff every all-even tuple lies in J_0
     for _ in range(30):
         factors = random_factor_list(rng)
-        data = extension_data(factors)
-        kernel_trivial = True
-        for idx in data.j_index:
-            m_vec = tuple(data.decomposition.factor_orders[d][idx[d]]
-                          for d in range(len(factors)))
-            if all(m % 2 == 0 for m in m_vec) and idx not in set(data.kernel_index):
-                kernel_trivial = False
+        kernel = set(extension_data(factors).kernel_index)
+        orders = _orders(factors)
+        kernel_trivial = all(idx in kernel for idx in _tuples(orders)
+                             if all(orders[d][k] % 2 == 0 for d, k in enumerate(idx)))
         assert strong_ah(factors) == kernel_trivial
 
 
@@ -113,25 +113,18 @@ def test_decomposition_independence(rng):
         factors = [rng.choice(pool) if rng.random() < 0.5 else random_sft(rng)
                    for _ in range(n)]
         a = tfg_abelianization(factors)
-        primary = H0Decomposition(tuple(primary_orders(decompose_h0(f)) for f in factors))
-        b = tfg_abelianization(factors, decomposition=primary)
+        primary = [primary_orders(o) for o in _orders(factors)]
+        b = _extension_data([invariants(f) for f in factors], primary).group
         assert a == b, [str(f.a) for f in factors]
 
 
 def test_explicit_decomposition_argument():
     factors = [validate([[7]]), validate([[7]])]
-    dec = H0Decomposition(((2, 3), (6,)))  # one side primary, one invariant
-    assert tfg_abelianization(factors, decomposition=dec) == FgGroup.cyclic(12)
-    auto = decompose_all(factors)
-    assert auto.factor_orders == ((6,), (6,))
-
-
-def test_a_decomposition_of_another_factor_count_is_rejected():
-    # two factors' orders for one factor once gave Z/12, the group of [[7]] x [[7]]
-    with pytest.raises(ValueError, match="lists 2 factors, not 1"):
-        tfg_abelianization([validate([[7]])], H0Decomposition(((6,), (6,))))
-    with pytest.raises(ValueError, match="lists 1 factors, not 2"):
-        extension_data([validate([[7]])] * 2, H0Decomposition(((6,),)))
+    assert _orders(factors) == [(6,), (6,)]
+    assert tfg_abelianization(factors) == FgGroup.cyclic(12)
+    invs = [invariants(f) for f in factors]
+    # one side primary, one invariant
+    assert _extension_data(invs, ((2, 3), (6,))).group == FgGroup.cyclic(12)
 
 
 def _cyclic_orders(rng, max_torsion):
@@ -146,10 +139,10 @@ def _cyclic_orders(rng, max_torsion):
 
 
 def _oracle_corpus():
-    """(factors, decomposition) pairs: 300 decompositions of n = 1-5 factors
-    given through the seam, invariant-factor or primary, their Z summands
-    moved between the finite orders, then 60 random factor lists with their
-    own decompositions."""
+    """(factors, orders) pairs: 300 decompositions of n = 1-5 factors given
+    to the private closed form, invariant-factor or primary, their Z
+    summands moved between the finite orders, then 60 random factor lists
+    with their own orders and the primary decomposition of them."""
     rng = random.Random(1701)
     pool = [validate([[2]]), validate([[3]]), validate([[7]]), validate(MIXED_66),
             validate([[2, 1], [1, 2]]), companion_matrix(5, 2)]
@@ -163,29 +156,29 @@ def _oracle_corpus():
             if k % 2:
                 rng.shuffle(orders)
             dec.append(tuple(orders))
-        yield [rng.choice(pool) for _ in range(n)], H0Decomposition(tuple(dec))
+        yield [rng.choice(pool) for _ in range(n)], dec
     for _ in range(60):
         factors = random_factor_list(rng)
-        yield factors, None
-        primary = tuple(primary_orders(decompose_h0(f)) for f in factors)
-        yield factors, H0Decomposition(primary)
+        yield factors, _orders(factors)
+        yield factors, [primary_orders(o) for o in _orders(factors)]
 
 
 def test_extension_data_and_group_match_the_per_position_oracle():
     seen = {"class": 0, "tp": 0, "Z left and right of a finite order": 0,
             "empty H_0": 0, "n": set()}
-    for factors, dec in _oracle_corpus():
-        got, want = extension_data(factors, dec), oracle_extension_data(factors, dec)
+    for factors, orders in _oracle_corpus():
+        want = oracle_extension_data(factors, orders)
+        got = (extension_data(factors) if orders == _orders(factors)
+               else _extension_data([invariants(f) for f in factors], orders))
         for field in fields(got):
             assert getattr(got, field.name) == getattr(want, field.name), \
-                (field.name, got.decomposition.factor_orders)
-        assert tfg_abelianization(factors, dec) == oracle_abelianization(want)
-        orders = got.decomposition.factor_orders
+                (field.name, orders)
         seen["n"].add(len(orders))
         seen["class"] += len(got.class_components)
         seen["tp"] += len(got.tp_summands)
-        seen["empty H_0"] += not got.j_index
-        for idx in got.j_index:
+        tuples = list(_tuples(orders))
+        seen["empty H_0"] += not tuples
+        for idx in tuples:
             zeros = [p for p, (o, k) in enumerate(zip(orders, idx)) if o[k] == 0]
             finite = [p for p, (o, k) in enumerate(zip(orders, idx)) if o[k]]
             if zeros and finite and min(zeros) < min(finite) and max(zeros) > max(finite):

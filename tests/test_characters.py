@@ -2,8 +2,9 @@
 
 The library solves a reduced linear system.  The word oracle here evaluates
 the defining relations as literal generator words (expanding the tau~ and
-grid words through ``alpha_word``) under a candidate assignment, so it does
-not use the library's reduced equations or the grid parity.  It is not fully
+grid words through ``table_oracle.alpha_word``) under a candidate
+assignment, so it does not use the library's reduced equations or the grid
+parity.  It is not fully
 independent, though: like the library it assigns one value per coordinate to
 the splitting generators and one shared value to all transpositions, and it
 checks the relations at small indices only.  The character-count identity
@@ -21,8 +22,8 @@ import pytest
 
 from groupoid_invariants.abelianize import tfg_abelianization
 from groupoid_invariants.sft import validate
-from groupoid_invariants.tables import alpha_word, character_search
-from table_oracle import oracle_characters
+from groupoid_invariants.tables import character_search
+from table_oracle import alpha_word, oracle_characters
 
 
 def _relation_word_differences(n, arities, index_bound=3):

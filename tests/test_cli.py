@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -312,3 +313,29 @@ def test_console_path_exit_codes():
                           timeout=60)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("usage: gi")
+
+
+def test_invariants_output_is_pinned(capsys):
+    """Text and JSON output of ``gi invariants`` over 120 seeded factor
+    lists of 1-3 factors on 1-9 vertices, 8 of the factors singular
+    (det(id - A) = 0), against a fixed digest.  Unit coordinates are meaningful only up to
+    Aut(BF), so a change to the elimination that moves them must update it."""
+    rng = random.Random(2215)
+    lines, singular = [], 0
+    while len(lines) < 240:
+        factors, size = [], rng.randint(1, 3)
+        while len(factors) < size:
+            n = rng.choice((1, 2, 2, 3, 3, 4, 5, 9))
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            try:
+                singular += invariants(validate(rows)).det == 0
+            except errors.SftValidationError:
+                continue
+            factors.append(rows)
+        doc = json.dumps({"factors": factors})
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "--format", fmt, "invariants", doc)
+            lines.append(f"{code} {out}{err}")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert singular == 8
+    assert digest == "c94be319a67b18d1567cdba0ca29fef7f12a6101022e97c58afed6d674252007"

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from groupoid_invariants import tables
 from groupoid_invariants.errors import BoundExceeded, IncompatibleParameters
 from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, TableElement,
-                                        alpha_element, alpha_parity, alpha_word, baker,
+                                        alpha_element, alpha_parity, baker,
                                         compose, compose_all, equal, gen_s,
                                         gen_tau, identity, inverse,
                                         permutation_element, tau_tilde,
                                         verify_relations)
 
-from table_oracle import oracle_check, oracle_compose, oracle_compose_all, oracle_equal
+from table_oracle import (alpha_word, oracle_check, oracle_compose, oracle_compose_all,
+                          oracle_equal)
 
 
 def test_gen_tau_action():
@@ -504,6 +505,16 @@ def test_alpha_parity_bullets():
             el = alpha_element(1, 1, 2, (ka, kb))
             perm = _induced_index_permutation(el, el.bound)
             assert parity == _parity_by_inversions(perm) == len(word) % 2
+
+
+def test_alpha_parity_closed_form_matches_the_word():
+    # C(k_d, 2) C(k_d', 2) mod 2 against the bubble-sort word's length, both orders
+    for ka in range(2, 13):
+        for kb in range(2, 13):
+            _, parity = alpha_word(1, 1, 2, (ka, kb))
+            assert alpha_parity(1, 2, (ka, kb)) == alpha_parity(2, 1, (kb, ka)) == parity
+    with pytest.raises(ValueError):
+        alpha_parity(1, 1, (3, 3))
 
 
 def test_alpha_word_folds_to_alpha_element():
