@@ -14,12 +14,12 @@ The package computes, with exact integer arithmetic throughout:
     (``automorphisms``);
   * one record per SFT groupoid, its Bowen-Franks group, unit class and
     det(id - A) (``sft``), from which the homology, K-groups and full-group
-    abelianizations of single SFT groupoids and of finite products follow
-    (``sft``, ``homology``, ``abelianize``);
+    abelianizations of finite products follow, one groupoid being the
+    one-factor product (``homology``, ``abelianize``);
   * isomorphism and Morita-equivalence decisions (``classify``);
   * the prefix-table model of the generalized higher-dimensional Thompson
-    groups, their defining relations and finite cyclic characters
-    (``tables``);
+    groups (splittings, and transpositions as index permutations), their
+    defining relations and finite cyclic characters (``tables``);
   * a scriptable CLI (``cli``, console command ``gi``).
 """
 
@@ -38,8 +38,7 @@ from .homology import (GradedGroups, HkReport, KTheory, hk_check,
 from .intmatrix import (FractionFreeLU, IntMatrix, ModularSnf, SnfResult,
                         smith_form_mod_det, smith_normal_form)
 from .sft import (SftInvariants, SftMatrix, companion_matrix, invariants,
-                  is_primitive, sft_abelianization, thompson_factor_list,
-                  validate)
+                  is_primitive, thompson_factor_list, validate)
 from .tables import (Brick, CharacterAssignment, RelationReport, TableElement,
                      alpha_element, alpha_parity, baker,
                      character_search, compose, compose_all, equal, gen_s,

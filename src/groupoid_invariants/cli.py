@@ -11,7 +11,10 @@ failed, no character), 2 input error, 3 search bound exceeded, 4 internal
 error (a failed consistency check or any other uncaught exception; the
 traceback goes to stderr).  Input errors are the ``ParseError`` and
 ``SftValidationError`` raised while parsing and validating documents and
-parameters; any other ``ValueError`` is a defect and exits 4.
+parameters, a document that cannot be read or decoded among them (a
+missing or non-UTF-8 file, malformed JSON, nesting past the decoder's
+recursion limit, an integer longer than ``sys.get_int_max_str_digits``);
+any other ``ValueError`` is a defect and exits 4.
 
 ``main`` builds its argument parser once per process, on its first call, and
 reads ``GI_AUT_BOUND`` and ``GI_INDEX_BOUND`` on every call, so the parser
@@ -53,11 +56,13 @@ def parse_input(source: str) -> list[SftMatrix]:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise errors.ParseError(f"cannot read {source}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer past the int-to-str digit
+        # limit; RecursionError: nesting deeper than the decoder's stack
         raise errors.ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "factors" not in doc:
         raise errors.ParseError('input must be an object with a "factors" array')
@@ -222,7 +227,7 @@ def _cmd_strong_ah(args) -> int:
 
 def _cmd_relations_check(args) -> int:
     ks = _parse_arities(args.arities)
-    rep = verify_relations(len(ks), ks, args.index_bound)
+    rep = verify_relations(ks, args.index_bound)
     payload = {"checked": rep.checked, "failures": rep.failures,
                "passed": rep.all_passed}
     _emit(args, payload,
@@ -233,7 +238,7 @@ def _cmd_relations_check(args) -> int:
 
 def _cmd_character_search(args) -> int:
     ks = _parse_arities(args.arities)
-    found = character_search(len(ks), ks, args.target_order)
+    found = character_search(ks, args.target_order)
     payload = {"assignments": [{"x": list(a.x), "t": a.t,
                                 "generates_target": a.generates_target()}
                                for a in found],

@@ -7,7 +7,8 @@ respect to the canonical generators (free generators first, then one
 generator per invariant factor).
 
 Throughout, a cyclic order of 0 encodes Z (the "Z_0 = Z" convention) and
-orders of 1 are trivial summands that get dropped.
+orders of 1 are trivial summands that get dropped.  0 is the identity of
+``math.gcd``, so Z_a (x) Z_b = Z_gcd(a, b) holds with Z among the factors.
 
 Canonical form over a coprime base.  The nonzero orders are refined by gcd
 splitting into a pairwise coprime base (Bernstein, "Factoring into coprimes
@@ -255,9 +256,6 @@ class FgElement:
             tuple(a - b for a, b in zip(self.free, other.free)),
             tuple(a - b for a, b in zip(self.torsion, other.torsion)))
 
-    def __neg__(self) -> "FgElement":
-        return self.group.zero() - self
-
     def scale(self, n: int) -> "FgElement":
         return self.group.element(tuple(n * a for a in self.free),
                                   tuple(n * a for a in self.torsion))
@@ -304,13 +302,6 @@ class GroupHom:
             if c:
                 acc = acc + img.scale(c)
         return acc
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self o inner."""
-        if inner.codomain != self.domain:
-            raise ValueError("composition mismatch")
-        return GroupHom(inner.domain, self.codomain,
-                        tuple(self(img) for img in inner.images))
 
     def is_isomorphism(self) -> bool:
         """True iff the hom is bijective.
@@ -508,19 +499,9 @@ def _cyclic_row(m: IntMatrix, lu: FractionFreeLU) -> ModularSnf | None:
     return ModularSnf((mod,), IntMatrix(1, n, tuple(w)))
 
 
-def _piece_order(a: int, b: int) -> int:
-    # cyclic order of Z_a (x) Z_b with 0 = Z
-    if a == 0 and b == 0:
-        return 0
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    return gcd(a, b)
-
-
 def _piece_orders(g: FgGroup, h: FgGroup) -> list[int]:
-    return [_piece_order(a, b) for a in g.orders() for b in h.orders()]
+    # the cyclic orders of the pieces Z_a (x) Z_b, 0 = Z included
+    return [gcd(a, b) for a in g.orders() for b in h.orders()]
 
 
 @dataclass(frozen=True)

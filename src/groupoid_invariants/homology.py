@@ -21,7 +21,7 @@ confirms (+) H_even = K_0 and (+) H_odd = K_1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from .fggroup import FgElement, FgGroup, direct_sum, tensor, tor
 from .sft import SftMatrix, invariants
@@ -71,23 +71,18 @@ class GradedGroups:
         return "; ".join(f"H_{n} = {g}" for n, g in self._groups.items())
 
 
-def _tensor_chain(groups_units: list[tuple[FgGroup, FgElement | None]]):
-    """Left-fold tensor product, tracking an element when all units given."""
-    grp, unit = groups_units[0]
-    for g, u in groups_units[1:]:
-        grp, tmap = tensor(grp, g)
-        unit = tmap(unit, u) if unit is not None and u is not None else None
-    return grp, unit
-
-
 def product_homology(factors: list[SftMatrix]) -> GradedGroups:
     """Closed-form graded homology of a product of SFT groupoids."""
     if not factors:
         raise ValueError("need at least one factor")
     invs = [invariants(f) for f in factors]
     n = len(factors)
-    h0, unit = _tensor_chain([(v.bf, v.unit) for v in invs])
-    h1, _ = _tensor_chain([(v.k1, None) for v in invs])
+    h0, unit = invs[0].bf, invs[0].unit
+    for v in invs[1:]:
+        h0, tmap = tensor(h0, v.bf)
+        unit = tmap(unit, v.unit)
+    # each H_1 is free, and Z^a (x) Z^b = Z^(a b)
+    h1 = FgGroup.free(prod(v.k1.free_rank for v in invs))
     out: dict[int, FgGroup] = {}
     for k in range(n + 1):
         parts = [h0] * comb(n - 1, k) + [h1] * (comb(n - 1, k - 1) if k >= 1 else 0)

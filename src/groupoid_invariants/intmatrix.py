@@ -93,7 +93,7 @@ class IntMatrix:
         cols = n if cols is None else cols
         ent = [0] * (rows * cols)
         for i, x in enumerate(d):
-            ent[i * cols + i] = index(x)
+            ent[i * cols + i] = x
         return cls(rows, cols, tuple(ent))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -114,22 +114,11 @@ class IntMatrix:
         e, c = self.entries, self.cols
         return IntMatrix(c, self.rows, tuple(chain.from_iterable(e[j::c] for j in range(c))))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._check_same_shape(other)
-        return IntMatrix(self.rows, self.cols,
-                         tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def _check_same_shape(self, other: "IntMatrix"):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+        return IntMatrix(self.rows, self.cols,
+                         tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

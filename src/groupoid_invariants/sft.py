@@ -11,7 +11,8 @@ one record, ``SftInvariants(bf, unit, det)``:
 The rest is derived from it: the sign of det; H_1 = K_1 = ker(id - A^t),
 which is free of the free rank of H_0, because a square integer matrix
 has a kernel of the rank of its cokernel's free part; and the full-group
-abelianization (H_0 (x) Z/2) (+) H_1.
+abelianization (H_0 (x) Z/2) (+) H_1, which ``abelianize`` computes as
+the one-factor case of its product formula.
 
 ``invariants`` gets the record from ``fggroup.cokernel_and_kernel`` of the
 presentation id - A^t, which computes D = det(id - A^t) once, by one
@@ -46,7 +47,7 @@ from functools import cached_property
 from math import gcd
 
 from . import errors
-from .fggroup import FgElement, FgGroup, cokernel_and_kernel, direct_sum, tensor
+from .fggroup import FgElement, FgGroup, cokernel_and_kernel
 from .intmatrix import IntMatrix
 
 
@@ -185,13 +186,6 @@ def is_primitive(a: SftMatrix) -> bool:
         for v in succ[u]:
             period = gcd(period, level[u] + 1 - level[v])
     return period == 1
-
-
-def sft_abelianization(a: SftMatrix) -> FgGroup:
-    """Abelianization of the topological full group: (H_0 (x) Z/2) (+) H_1."""
-    inv = invariants(a)
-    halved, _ = tensor(inv.bf, FgGroup.cyclic(2))
-    return direct_sum(halved, inv.k1)
 
 
 def companion_matrix(k: int, r: int) -> SftMatrix:

@@ -10,13 +10,15 @@ index beyond the bound translate by the offset.
 
 Every generator of W_{n,k} has this shape and the shape is closed under
 composition and inverse, so equality of group words is decidable with finite
-data.  Well-formedness (source and target bricks each partition their index
-range) is enforced on construction: per index, an overlap search over the
-bricks sorted by their words, coordinate by coordinate, and an integer mass
-sum over a common refinement depth.  ``inverse`` alone skips the check: its
-table is f's with sides swapped, which meets exactly the predicates f met.
-``compose`` output is checked, and that check is an independent test of
-``compose``.
+data.  The transposition tau_i of indices i and i+1 is the permutation
+element of {i: i+1, i+1: i} (``permutation_element``), like the grid
+transposes of ``alpha_element``.  Well-formedness (source and target bricks
+each partition their index range) is enforced on construction: per index,
+an overlap search over the bricks sorted by their words, coordinate by
+coordinate, and an integer mass sum over a common refinement depth.
+``inverse`` alone skips the check: its table is f's with sides swapped,
+which meets exactly the predicates f met.  ``compose`` output is checked,
+and that check is an independent test of ``compose``.
 
 ``compose(f, g)`` matches each entry (src, mid) of g against f's entries at
 mid's index.  Two cases need no prefix tests: when mid's words are all
@@ -400,27 +402,17 @@ def gen_s(i: int, d: int, arities) -> TableElement:
 
 
 def gen_tau(i: int, arities) -> TableElement:
-    """The transposition of indices i and i+1."""
-    arities = tuple(arities)
+    """The transposition of indices i and i+1, a permutation element."""
     if i < 1:
         raise ValueError("index must be >= 1")
-    empty = _empty_words(len(arities))
-    ents = [(Brick(empty, j), Brick(empty, j)) for j in range(1, i)]
-    ents.append((Brick(empty, i), Brick(empty, i + 1)))
-    ents.append((Brick(empty, i + 1), Brick(empty, i)))
-    return TableElement(arities, i + 1, 0, tuple(ents))
+    return permutation_element({i: i + 1, i + 1: i}, arities)
 
 
 def tau_tilde(i: int, d: int, arities) -> TableElement:
     """tau_{i+k(d)-1} ... tau_{i+1} tau_i, the cycle moving index i past the
     block it was split into."""
     arities = tuple(arities)
-    return _tau_tilde(i, arities[d - 1], lambda j: gen_tau(j, arities))
-
-
-def _tau_tilde(i: int, k: int, tau) -> TableElement:
-    # tau_tilde over k = k(d), from the transpositions tau(j)
-    return compose_all([tau(i + j) for j in range(k - 1, -1, -1)])
+    return compose_all([gen_tau(i + j, arities) for j in range(arities[d - 1] - 1, -1, -1)])
 
 
 def _grid_permutation(i: int, d: int, d_prime: int, arities) -> dict[int, int]:
@@ -496,14 +488,13 @@ class RelationReport:
         return not self.failures
 
 
-def verify_relations(n: int, k, index_bound: int) -> RelationReport:
-    """Instantiate every defining relation family up to the index bound and
-    check both sides agree as table elements."""
+def verify_relations(k, index_bound: int) -> RelationReport:
+    """Instantiate every defining relation family of W_{n,k}, n = len(k), up
+    to the index bound and check both sides agree as table elements."""
     if index_bound < 2:
         raise ParseError("index_bound must be >= 2")
     arities = tuple(k)
-    if len(arities) != n:
-        raise ParseError("arity list length must equal n")
+    n = len(arities)
     checked = 0
     failures: list[str] = []
 
@@ -541,7 +532,8 @@ def verify_relations(n: int, k, index_bound: int) -> RelationReport:
         for i in range(1, index_bound + 1):
             expect("split_shift", (i, d),
                    compose(s(i, d), tau(i)),
-                   compose(_tau_tilde(i, kd, tau), s(i + 1, d)))
+                   compose(compose_all([tau(i + j) for j in range(kd - 1, -1, -1)]),
+                           s(i + 1, d)))
             for j in range(1, index_bound + 1):
                 if i < j:
                     expect("s_tau_above", (i, j, d),
@@ -580,8 +572,9 @@ class CharacterAssignment:
         return gcd(self.target_order, self.t, *(a - self.x[0] for a in self.x)) == 1
 
 
-def character_search(n: int, k, target_order: int) -> list[CharacterAssignment]:
-    """All Z/m characters of the generator-relation system, sorted by (t, x).
+def character_search(k, target_order: int) -> list[CharacterAssignment]:
+    """All Z/m characters of the generator-relation system of W_{n,k},
+    n = len(k), sorted by (t, x).
 
     The relations reduce, using one unknown per coordinate plus one shared
     transposition value (index independence is forced once 2t = 0 holds), to
@@ -596,8 +589,7 @@ def character_search(n: int, k, target_order: int) -> list[CharacterAssignment]:
     if target_order < 2:
         raise ParseError("target_order must be >= 2")
     arities = tuple(k)
-    if len(arities) != n:
-        raise ParseError("arity list length must equal n")
+    n = len(arities)
     m = target_order
     rows = [[0] * n + [2]] + [[0] * n + [kd - 1] for kd in arities]
     for d, dp in permutations(range(n), 2):

@@ -8,10 +8,9 @@ from homology_oracle import is_quotient
 from orbit_oracle import primary_orders
 from groupoid_invariants.abelianize import (_extension_data, extension_data,
                                             strong_ah, tfg_abelianization)
-from groupoid_invariants.fggroup import FgGroup
+from groupoid_invariants.fggroup import FgGroup, direct_sum, tensor
 from groupoid_invariants.homology import product_homology
 from groupoid_invariants.sft import (companion_matrix, invariants,
-                                     sft_abelianization,
                                      thompson_factor_list, validate)
 
 MIXED_66 = [[7, 6], [6, 13]]  # BF(A^t) = Z/6 (+) Z/6
@@ -68,13 +67,17 @@ def test_tfg_examples():
 
 
 def test_tfg_single_factor_agrees_with_sft_formula(rng):
+    def sft_formula(f):
+        # (H_0 (x) Z/2) (+) H_1
+        inv = invariants(f)
+        return direct_sum(tensor(inv.bf, FgGroup.cyclic(2))[0], inv.k1)
     for _ in range(30):
         f = random_sft(rng)
-        assert tfg_abelianization([f]) == sft_abelianization(f)
+        assert tfg_abelianization([f]) == sft_formula(f)
     for k in range(2, 10):
         for r in (1, 2, 3):
             f = companion_matrix(k, r)
-            assert tfg_abelianization([f]) == sft_abelianization(f)
+            assert tfg_abelianization([f]) == sft_formula(f)
 
 
 def test_strong_ah_examples():

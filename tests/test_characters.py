@@ -77,7 +77,7 @@ def _oracle_assignments(n, arities, m):
     (2, (7, 7), 2),
 ])
 def test_search_matches_word_oracle(n, arities, m):
-    got = {(a.x, a.t) for a in character_search(n, arities, m)}
+    got = {(a.x, a.t) for a in character_search(arities, m)}
     assert got == set(_oracle_assignments(n, arities, m))
 
 
@@ -86,21 +86,21 @@ def test_constant_odd_arity_case():
     # relation in Z/2
     for n in (2, 3):
         for l in (5, 9):
-            found = character_search(n, (l,) * n, 2)
+            found = character_search((l,) * n, 2)
             assert ((0,) * n, 1) in {(a.x, a.t) for a in found}
 
 
 def test_one_three_rest_five_case():
     for n in (2, 3, 4):
         arities = (3,) + (5,) * (n - 1)
-        found = character_search(n, arities, 2)
+        found = character_search(arities, 2)
         assert ((0,) * n, 1) in {(a.x, a.t) for a in found}
 
 
 def test_two_threes_rest_five_case():
     for n in (2, 3, 4):
         arities = (3, 3) + (5,) * (n - 2)
-        found = character_search(n, arities, 4)
+        found = character_search(arities, 4)
         expected_x = (1,) + (0,) * (n - 1)
         assert (expected_x, 2) in {(a.x, a.t) for a in found}
 
@@ -108,7 +108,7 @@ def test_two_threes_rest_five_case():
 def test_surjective_character_two_factors_l_3_mod_4():
     for l in (3, 7):
         m = 2 * l - 2
-        found = character_search(2, (l, l), m)
+        found = character_search((l, l), m)
         assert any(a.generates_target() for a in found), l
         for a in found:
             # the shared transposition value has order at most 2
@@ -124,10 +124,10 @@ def test_no_transposition_character_for_three_factors_l_3_mod_4():
     # Z/(2l-2)).  Three factors: summing the relation around 1 -> 2 -> 3 -> 1
     # gives 3t = 0, and with 2t = 0 that forces t = 0 in every Z/m.
     for l in (3, 7):
-        assert all(a.t == 0 for a in character_search(2, (l, l), 2)), l
-        assert any(a.t == 2 for a in character_search(2, (l, l), 4)), l
+        assert all(a.t == 0 for a in character_search((l, l), 2)), l
+        assert any(a.t == 2 for a in character_search((l, l), 4)), l
         for m in (2, 4):
-            found = character_search(3, (l, l, l), m)
+            found = character_search((l, l, l), m)
             assert all(a.t == 0 for a in found), (l, m)
 
 
@@ -150,7 +150,7 @@ def test_character_count_matches_full_shift_abelianization(n):
         for m in (2, 3, 4, 6, 8):
             expected = m * prod(gcd(order, m) if order else m
                                 for order in ab.orders())
-            assert len(character_search(n, arities, m)) == expected, \
+            assert len(character_search(arities, m)) == expected, \
                 (arities, m, ab)
 
 
@@ -160,7 +160,7 @@ def test_search_matches_exhaustive_oracle_in_order():
         n = rng.randint(1, 3)
         arities = tuple(rng.randint(2, 7) for _ in range(n))
         m = rng.randint(2, 12)
-        assert character_search(n, arities, m) == oracle_characters(n, arities, m), \
+        assert character_search(arities, m) == oracle_characters(n, arities, m), \
             (arities, m)
 
 
@@ -168,7 +168,7 @@ def test_five_coordinates_past_the_exhaustive_wall():
     # 20^5 values of x per t: the count follows the abelianization identity
     # of test_character_count_matches_full_shift_abelianization
     arities, m = (3,) * 5, 20
-    found = character_search(5, arities, m)
+    found = character_search(arities, m)
     ab = tfg_abelianization([validate([[k]]) for k in arities])
     assert len(found) == m * prod(gcd(order, m) if order else m
                                   for order in ab.orders()) == 320

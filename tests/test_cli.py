@@ -205,6 +205,18 @@ def test_json_booleans_are_not_matrix_entries(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    ('{"factors": [[[2]]]} \u00e9'.encode("latin-1"), "cannot read"),
+    (b"[" * 100_000, "invalid JSON"),  # past the decoder's recursion limit
+    (b'{"factors": [[[%s]]]}' % (b"1" * 5000), "invalid JSON"),  # past int's digit limit
+], ids=["not-utf8", "nested-100000", "digits-5000"])
+def test_malformed_input_file_exits_input(capsys, tmp_path, content, message):
+    doc = tmp_path / "in.json"
+    doc.write_bytes(content)
+    code, out, err = run(capsys, "validate", str(doc))
+    assert code == 2 and out == "" and err.startswith(f"error: {message}")
+
+
 def test_exit_codes_tell_verdict_input_bound_and_crash_apart(capsys, monkeypatch):
     assert run(capsys, "morita", '{"factors": [[[2]]]}', '{"factors": [[[2]]]}')[0] == 0
     assert run(capsys, "morita", '{"factors": [[[2]]]}', '{"factors": [[[3]]]}')[0] == 1
@@ -339,3 +351,64 @@ def test_invariants_output_is_pinned(capsys):
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert singular == 8
     assert digest == "c94be319a67b18d1567cdba0ca29fef7f12a6101022e97c58afed6d674252007"
+
+
+def test_other_commands_output_is_pinned(capsys, monkeypatch):
+    """Text and JSON output and exit codes of every factor-list and table
+    subcommand but ``invariants`` (pinned above) and ``validate``, against a
+    fixed digest.  The corpus: 42 factor lists of 1-3 factors on 1-4
+    vertices, 6 of the factors with an infinite BF group, 12 input errors,
+    41 classify pairs (each seeded list against the next, and against itself
+    relabelled and shuffled) and a grid of table parameters, bad ones
+    included.  Unit coordinates and classify witnesses are meaningful only
+    up to automorphism, so a change that moves them must update it."""
+    monkeypatch.delenv("GI_AUT_BOUND", raising=False)
+    monkeypatch.delenv("GI_INDEX_BOUND", raising=False)
+    rng = random.Random(2416)
+
+    def factor():
+        while True:
+            n = rng.choice((1, 2, 2, 3, 3, 4))
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            try:
+                validate(rows)
+                return rows
+            except errors.SftValidationError:
+                continue
+
+    lists = [[factor() for _ in range(rng.randint(1, 3))] for _ in range(40)]
+    lists += [[[[2, 1], [1, 2]]], [[[2, 1], [1, 2]], [[3]], [[1, 1], [1, 1]]]]
+    infinite = sum(invariants(validate(f)).bf.free_rank > 0 for fs in lists for f in fs)
+    docs = [json.dumps({"factors": fs}) for fs in lists]
+    bad = ["{", "[]", '{"factors": []}', '{"factors": [[[0, 1], [1, 0]]]}',
+           '{"factors": [[[-1]]]}', '{"factors": [[[1, 0], [0, 1]]]}',
+           '{"factors": [[[1, 2], [1]]]}', '{"factors": [[[true]]]}',
+           '{"factors": [[[1.5]]]}', '{"factors": [[[2]], 3]}', '{"x": 1}',
+           "no-such-file.json"]
+    argvs = [[c, d] for d in docs + bad
+             for c in ("homology", "k-groups", "hk-check", "abelianization", "strong-ah")]
+    for a, b in zip(lists[:20], lists[1:21]):
+        shuffled = rng.sample([relabel(f, rng.sample(range(len(f)), len(f))) for f in a],
+                              len(a))
+        for other in (b, shuffled):
+            argvs.append(["classify", json.dumps({"factors": a}),
+                          json.dumps({"factors": other})])
+    argvs.append(["classify", docs[0], bad[3]])
+    for ks in ("2", "3", "2,2", "2,3", "3,2", "2,x", "1,2"):
+        for ib in ("1", "2", "3"):
+            argvs.append(["--index-bound", ib, "relations-check", "--arities", ks])
+    for ks in ("2", "3", "2,2", "2,3", "3,4", "2,2,2", "3,5,2", "x"):
+        for m in ("1", "2", "3", "4", "6", "8"):
+            argvs.append(["character-search", "--arities", ks, "--target-order", m])
+    for ks in ("2,2,2", "3,3,3", "2,2,2,4", "2,2,3", "2,2", "x"):
+        argvs.append(["baker-check", "--arities", ks])
+    lines, codes = [], []
+    for argv in argvs:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "--format", fmt, *argv)
+            codes.append(code)
+            lines.append(f"{code} {out}{err}")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert infinite == 6
+    assert [codes.count(c) for c in range(5)] == [546, 46, 176, 4, 0]
+    assert digest == "c156836815ca53b7d8cc07b6b7f8da0515997a66369b052bea73b329a75ecf2d"

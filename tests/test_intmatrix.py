@@ -174,7 +174,7 @@ def test_matrix_basics():
 def test_diagonal_entries_must_be_integers():
     assert IntMatrix.diagonal([2, 3], 2, 3) == IntMatrix.from_rows([[2, 0, 0], [0, 3, 0]])
     for bad in (2.5, 2.0, "2"):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=r"entry \(0, 0\)"):
             IntMatrix.diagonal([bad, 3])
 
 

@@ -19,7 +19,7 @@ from groupoid_invariants.fggroup import FgGroup, cokernel, direct_sum, tensor
 from groupoid_invariants.homology import hk_check, product_homology
 from groupoid_invariants.intmatrix import IntMatrix, ModularSnf
 from groupoid_invariants.sft import (_irreducible, companion_matrix, invariants,
-                                     is_primitive, sft_abelianization, validate)
+                                     is_primitive, validate)
 from sft_oracle import irreducible_oracle, primitive_oracle
 
 
@@ -228,13 +228,13 @@ def test_is_primitive_decides_a_long_cycle_fast():
 
 
 def test_sft_abelianization_examples():
-    assert sft_abelianization(validate([[2]])).is_trivial
-    assert sft_abelianization(validate([[3]])) == FgGroup.cyclic(2)
+    assert tfg_abelianization([validate([[2]])]).is_trivial
+    assert tfg_abelianization([validate([[3]])]) == FgGroup.cyclic(2)
     # even k: BF = Z/(k-1) with k-1 odd, so the Z/2 tensor dies
-    assert sft_abelianization(validate([[4]])).is_trivial
+    assert tfg_abelianization([validate([[4]])]).is_trivial
     inv = invariants(validate([[2, 1], [1, 2]]))
     expected = direct_sum(tensor(inv.bf, FgGroup.cyclic(2))[0], inv.k1)
-    assert sft_abelianization(validate([[2, 1], [1, 2]])) == expected == FgGroup(1, (2,))
+    assert tfg_abelianization([validate([[2, 1], [1, 2]])]) == expected == FgGroup(1, (2,))
 
 
 def test_invariants_are_computed_once_per_object(monkeypatch):

@@ -331,7 +331,7 @@ def test_relation_check_builds_each_generator_once(monkeypatch):
         check(self)
 
     monkeypatch.setattr(tables.TableElement, "__post_init__", counted)
-    rep = verify_relations(3, (3, 3, 3), 4)
+    rep = verify_relations((3, 3, 3), 4)
     assert rep.checked == 131 and rep.failures == []
     assert 0 < len(calls) <= 650
 
@@ -346,7 +346,7 @@ def test_relation_check_builds_tau_tilde_from_the_memo(monkeypatch):
         check(self)
 
     monkeypatch.setattr(tables.TableElement, "__post_init__", counted)
-    rep = verify_relations(3, (3, 3, 3), 4)
+    rep = verify_relations((3, 3, 3), 4)
     assert rep.checked == 131 and rep.failures == []
     assert len(calls) <= 593
 
@@ -360,7 +360,7 @@ def test_relation_check_settles_identical_tables_without_composing(monkeypatch):
         check(self)
 
     monkeypatch.setattr(tables.TableElement, "__post_init__", counted)
-    rep = verify_relations(3, (3, 3, 3), 4)
+    rep = verify_relations((3, 3, 3), 4)
     assert rep.checked == 131 and rep.failures == []
     assert len(calls) <= 470
 
@@ -444,7 +444,7 @@ def test_group_axioms_on_random_words(rng):
 
 def test_relation_suite_small_parameter_sets():
     for ks in ((2, 2), (3, 5), (3, 3, 5)):
-        rep = verify_relations(len(ks), ks, 3)
+        rep = verify_relations(ks, 3)
         assert rep.all_passed, (ks, rep.failures)
         assert rep.checked > 0
 
