@@ -7,7 +7,7 @@ Factor-list inputs are JSON documents, inline or by path:
 i.e. a top-level object whose "factors" entry is a list of square integer
 matrices in row-major nested-list form; entries are JSON integers, not
 booleans.  Exit codes: 0 success, 1 negative verdict (not isomorphic, check
-failed, no character), 2 input error, 3 search bound exceeded, 4 internal
+failed), 2 input error, 3 search bound exceeded, 4 internal
 error (a failed consistency check or any other uncaught exception; the
 traceback goes to stderr).  Input errors are the ``ParseError`` and
 ``SftValidationError`` raised while parsing and validating documents and
@@ -20,8 +20,12 @@ any other ``ValueError`` is a defect and exits 4.
 reads ``GI_AUT_BOUND`` and ``GI_INDEX_BOUND`` on every call, so the parser
 holds no value from the environment; a flag on the command line overrides
 the variable.  The handler of a command is looked up by name at call time:
-``_cmd_`` and the command with ``-`` read as ``_``.  ``main`` returns its
-exit code and never raises it, usage errors (2) and ``--help`` (0) included.
+``_cmd_`` and the command with ``-`` read as ``_``.  A handler prints
+nothing; it returns ``(payload, text_lines, verdict)``.  ``main`` alone
+prints the result, the payload as JSON with sorted keys or the text lines,
+and picks every exit code: 0 or 1 from the verdict, 2-4 from what was
+raised.  It returns the code and never raises it, usage errors (2) and
+``--help`` (0) included.
 """
 
 from __future__ import annotations
@@ -115,23 +119,14 @@ def _parse_arities(text: str) -> tuple[int, ...]:
     return ks
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     factors = parse_input(args.input)
     payload = {"factors": [{"size": f.size, "valid": True} for f in factors]}
-    _emit(args, payload,
-          [f"factor {i}: valid ({f.size} x {f.size})" for i, f in enumerate(factors)])
-    return EXIT_OK
+    return payload, [f"factor {i}: valid ({f.size} x {f.size})"
+                     for i, f in enumerate(factors)], True
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args):
     factors = parse_input(args.input)
     recs, lines = [], []
     for i, f in enumerate(factors):
@@ -148,97 +143,79 @@ def _cmd_invariants(args) -> int:
         lines.append(f"factor {i}: BF = {inv.bf}, unit = {inv.unit.coords()}, "
                      f"det sign = {inv.det_sign:+d}, H = [{hom}], "
                      f"K_0 = {inv.k0}, K_1 = {inv.k1}")
-    _emit(args, {"factors": recs}, lines)
-    return EXIT_OK
+    return {"factors": recs}, lines, True
 
 
-def _cmd_homology(args) -> int:
-    factors = parse_input(args.input)
-    h = product_homology(factors)
-    lines = [str(h), f"unit class = {h.unit_class.coords()} in {h.group_at(0)}"]
-    _emit(args, _graded_json(h), lines)
-    return EXIT_OK
+def _cmd_homology(args):
+    h = product_homology(parse_input(args.input))
+    return (_graded_json(h),
+            [str(h), f"unit class = {h.unit_class.coords()} in {h.group_at(0)}"], True)
 
 
-def _cmd_k_groups(args) -> int:
-    factors = parse_input(args.input)
-    kk = product_k_theory(factors)
-    _emit(args, {"k0": _group_json(kk.k0), "k1": _group_json(kk.k1)},
-          [f"K_0 = {kk.k0}", f"K_1 = {kk.k1}"])
-    return EXIT_OK
+def _cmd_k_groups(args):
+    kk = product_k_theory(parse_input(args.input))
+    return ({"k0": _group_json(kk.k0), "k1": _group_json(kk.k1)},
+            [f"K_0 = {kk.k0}", f"K_1 = {kk.k1}"], True)
 
 
-def _cmd_hk_check(args) -> int:
-    factors = parse_input(args.input)
-    rep = hk_check(factors)
+def _cmd_hk_check(args):
+    rep = hk_check(parse_input(args.input))
     payload = {"holds": rep.holds,
                "h_even": _group_json(rep.h_even), "h_odd": _group_json(rep.h_odd),
                "k0": _group_json(rep.k0), "k1": _group_json(rep.k1)}
-    _emit(args, payload,
-          [str(rep.holds).lower(),
-           f"H_even = {rep.h_even}  vs  K_0 = {rep.k0}",
-           f"H_odd  = {rep.h_odd}  vs  K_1 = {rep.k1}"])
-    return EXIT_OK if rep.holds else EXIT_NEGATIVE
+    return payload, [str(rep.holds).lower(),
+                     f"H_even = {rep.h_even}  vs  K_0 = {rep.k0}",
+                     f"H_odd  = {rep.h_odd}  vs  K_1 = {rep.k1}"], rep.holds
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     fa = parse_input(args.input_a)
     fb = parse_input(args.input_b)
     verdict = product_isomorphic(fa, fb, candidate_bound=args.aut_bound)
-    if verdict.isomorphic:
-        w = verdict.witness
-        payload = {"isomorphic": True, "reason": None,
-                   "witness": {"sigma": list(w.sigma),
-                               "homs": [[_elem_json(img) for img in h.images]
-                                        for h in w.homs],
-                               "identity": w.is_identity()}}
-        text = "isomorphic (identity witness)" if w.is_identity() else \
-            f"isomorphic (witness: sigma = {w.sigma})"
-        _emit(args, payload, [text])
-        return EXIT_OK
-    _emit(args, {"isomorphic": False, "reason": verdict.reason, "witness": None},
-          [f"not isomorphic: {verdict.reason}"])
-    return EXIT_NEGATIVE
+    if not verdict.isomorphic:
+        return ({"isomorphic": False, "reason": verdict.reason, "witness": None},
+                [f"not isomorphic: {verdict.reason}"], False)
+    w = verdict.witness
+    payload = {"isomorphic": True, "reason": None,
+               "witness": {"sigma": list(w.sigma),
+                           "homs": [[_elem_json(img) for img in h.images] for h in w.homs],
+                           "identity": w.is_identity()}}
+    text = "isomorphic (identity witness)" if w.is_identity() else \
+        f"isomorphic (witness: sigma = {w.sigma})"
+    return payload, [text], True
 
 
-def _cmd_morita(args) -> int:
+def _cmd_morita(args):
     fa = parse_input(args.input_a)
     fb = parse_input(args.input_b)
     if len(fa) != 1 or len(fb) != 1:
         raise errors.ParseError("morita takes single-factor inputs on both sides")
     ok = sft_morita(fa[0], fb[0])
-    _emit(args, {"morita_equivalent": ok}, [str(ok).lower()])
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    return {"morita_equivalent": ok}, [str(ok).lower()], ok
 
 
-def _cmd_abelianization(args) -> int:
-    factors = parse_input(args.input)
-    g = tfg_abelianization(factors)
-    _emit(args, {"abelianization": _group_json(g)}, [str(g)])
-    return EXIT_OK
+def _cmd_abelianization(args):
+    g = tfg_abelianization(parse_input(args.input))
+    return {"abelianization": _group_json(g)}, [str(g)], True
 
 
-def _cmd_strong_ah(args) -> int:
-    factors = parse_input(args.input)
-    ok = strong_ah(factors)
-    _emit(args, {"strong_ah": ok}, [str(ok).lower()])
-    return EXIT_OK if ok else EXIT_NEGATIVE
+def _cmd_strong_ah(args):
+    ok = strong_ah(parse_input(args.input))
+    return {"strong_ah": ok}, [str(ok).lower()], ok
 
 
-def _cmd_relations_check(args) -> int:
-    ks = _parse_arities(args.arities)
-    rep = verify_relations(ks, args.index_bound)
+def _cmd_relations_check(args):
+    rep = verify_relations(_parse_arities(args.arities), args.index_bound)
     payload = {"checked": rep.checked, "failures": rep.failures,
                "passed": rep.all_passed}
-    _emit(args, payload,
-          [f"checked {rep.checked} relation instances; "
-           + ("all hold" if rep.all_passed else f"failures: {rep.failures}")])
-    return EXIT_OK if rep.all_passed else EXIT_NEGATIVE
+    text = f"checked {rep.checked} relation instances; " \
+        + ("all hold" if rep.all_passed else f"failures: {rep.failures}")
+    return payload, [text], rep.all_passed
 
 
-def _cmd_character_search(args) -> int:
-    ks = _parse_arities(args.arities)
-    found = character_search(ks, args.target_order)
+def _cmd_character_search(args):
+    # a listing, not a verdict: the zero character is always found
+    found = character_search(_parse_arities(args.arities), args.target_order)
     payload = {"assignments": [{"x": list(a.x), "t": a.t,
                                 "generates_target": a.generates_target()}
                                for a in found],
@@ -247,20 +224,15 @@ def _cmd_character_search(args) -> int:
     lines += [f"  x = {a.x}, t = {a.t}"
               + ("  (generates the target)" if a.generates_target() else "")
               for a in found]
-    _emit(args, payload, lines)
-    return EXIT_OK if found else EXIT_NEGATIVE
+    return payload, lines, True
 
 
-def _cmd_baker_check(args) -> int:
+def _cmd_baker_check(args):
     ks = _parse_arities(args.arities)
     if len(ks) < 3 or len(set(ks[:3])) != 1:
         raise errors.ParseError("baker-check needs at least three equal leading arities")
-    b12 = baker(1, 2, ks)
-    b23 = baker(2, 3, ks)
-    b13 = baker(1, 3, ks)
-    ok = equal(compose(b12, b23), b13)
-    _emit(args, {"baker_identity": ok}, [str(ok).lower()])
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    ok = equal(compose(baker(1, 2, ks), baker(2, 3, ks)), baker(1, 3, ks))
+    return {"baker_identity": ok}, [str(ok).lower()], ok
 
 
 @functools.cache
@@ -320,7 +292,12 @@ def main(argv=None) -> int:
         if args.aut_bound < 0:
             raise errors.ParseError(
                 f"--aut-bound (GI_AUT_BOUND) must be >= 0, not {args.aut_bound}")
-        return globals()["_cmd_" + args.command.replace("-", "_")](args)
+        payload, lines, verdict = globals()["_cmd_" + args.command.replace("-", "_")](args)
+        if args.format == "json":
+            lines = [json.dumps(payload, sort_keys=True)]
+        for line in lines:
+            print(line)
+        return EXIT_OK if verdict else EXIT_NEGATIVE
     except (errors.ParseError, errors.SftValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -76,6 +76,26 @@ def _integer(x, what) -> int:
         raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
+def _arities(arities) -> tuple[int, ...]:
+    """The arity data k(1), ..., k(n) as exact ints, each >= 2."""
+    arities = tuple(_integer(k, "arity") for k in arities)
+    if any(k < 2 for k in arities):
+        raise ValueError("all arities must be >= 2")
+    return arities
+
+
+def _arity(d: int, arities) -> int:
+    """k(d), for a coordinate d in 1..n."""
+    if not 1 <= d <= len(arities):
+        raise ValueError("coordinate out of range")
+    return arities[d - 1]
+
+
+def _check_index(i: int):
+    if i < 1:
+        raise ValueError("index must be >= 1")
+
+
 def _overlap(group, d) -> bool:
     """True iff two of the word tuples in group, which agree in every
     coordinate before d, are prefix-comparable in every coordinate from d on.
@@ -148,13 +168,11 @@ class TableElement:
 
     def __post_init__(self):
         # stored as exact ints and a tuple, so that equal data compares equal
-        for name, value in (("arities", tuple(_integer(k, "arity") for k in self.arities)),
+        for name, value in (("arities", _arities(self.arities)),
                             ("bound", _integer(self.bound, "bound")),
                             ("offset", _integer(self.offset, "offset"))):
             object.__setattr__(self, name, value)
         n = len(self.arities)
-        if any(k < 2 for k in self.arities):
-            raise ValueError("all arities must be >= 2")
         if self.bound < 0 or self.bound + self.offset < 0:
             raise ValueError("bound and bound+offset must be nonnegative")
         empty = _empty_words(n)
@@ -386,13 +404,10 @@ def gen_s(i: int, d: int, arities) -> TableElement:
     Identity below i; at index i it consumes the first letter a of coordinate
     d and moves the point to index i+a; above i it translates by k(d)-1.
     """
-    arities = tuple(arities)
+    arities = _arities(arities)
     n = len(arities)
-    if not 1 <= d <= n:
-        raise ValueError("coordinate out of range")
-    if i < 1:
-        raise ValueError("index must be >= 1")
-    k = arities[d - 1]
+    k = _arity(d, arities)
+    _check_index(i)
     empty = _empty_words(n)
     ents = [(Brick(empty, j), Brick(empty, j)) for j in range(1, i)]
     for a in range(k):
@@ -403,21 +418,20 @@ def gen_s(i: int, d: int, arities) -> TableElement:
 
 def gen_tau(i: int, arities) -> TableElement:
     """The transposition of indices i and i+1, a permutation element."""
-    if i < 1:
-        raise ValueError("index must be >= 1")
+    _check_index(i)
     return permutation_element({i: i + 1, i + 1: i}, arities)
 
 
 def tau_tilde(i: int, d: int, arities) -> TableElement:
     """tau_{i+k(d)-1} ... tau_{i+1} tau_i, the cycle moving index i past the
     block it was split into."""
-    arities = tuple(arities)
-    return compose_all([gen_tau(i + j, arities) for j in range(arities[d - 1] - 1, -1, -1)])
+    arities = _arities(arities)
+    return compose_all([gen_tau(i + j, arities) for j in range(_arity(d, arities) - 1, -1, -1)])
 
 
 def _grid_permutation(i: int, d: int, d_prime: int, arities) -> dict[int, int]:
-    kd = arities[d - 1]
-    kdp = arities[d_prime - 1]
+    kd = _arity(d, arities)
+    kdp = _arity(d_prime, arities)
     perm = {}
     for p in range(kdp):
         for q in range(kd):
@@ -440,7 +454,8 @@ def alpha_element(i: int, d: int, d_prime: int, arities) -> TableElement:
     """The grid-transpose permutation element used in the mixed relation."""
     if d == d_prime:
         raise ValueError("need two distinct coordinates")
-    arities = tuple(arities)
+    _check_index(i)
+    arities = _arities(arities)
     return permutation_element(_grid_permutation(i, d, d_prime, arities), arities)
 
 
@@ -457,21 +472,23 @@ def alpha_parity(d: int, d_prime: int, arities) -> int:
     """
     if d == d_prime:
         raise ValueError("need two distinct coordinates")
-    kd, kdp = arities[d - 1], arities[d_prime - 1]
+    arities = _arities(arities)
+    kd, kdp = _arity(d, arities), _arity(d_prime, arities)
     return kd * (kd - 1) // 2 * (kdp * (kdp - 1) // 2) % 2
 
 
 def baker(d: int, d_prime: int, arities) -> TableElement:
     """Move the first letter of coordinate d_prime onto the front of
     coordinate d, on index block 1; identity elsewhere."""
-    arities = tuple(arities)
+    arities = _arities(arities)
     n = len(arities)
+    k = _arity(d_prime, arities)
     if d == d_prime:
         raise ParseError("need two distinct coordinates")
-    if arities[d - 1] != arities[d_prime - 1]:
+    if _arity(d, arities) != k:
         raise ParseError("coordinates must have equal arities")
     ents = []
-    for a in range(arities[d_prime - 1]):
+    for a in range(k):
         src = tuple((a,) if c == d_prime - 1 else () for c in range(n))
         dst = tuple((a,) if c == d - 1 else () for c in range(n))
         ents.append((Brick(src, 1), Brick(dst, 1)))
@@ -588,7 +605,7 @@ def character_search(k, target_order: int) -> list[CharacterAssignment]:
     """
     if target_order < 2:
         raise ParseError("target_order must be >= 2")
-    arities = tuple(k)
+    arities = _arities(k)
     n = len(arities)
     m = target_order
     rows = [[0] * n + [2]] + [[0] * n + [kd - 1] for kd in arities]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -177,8 +178,8 @@ def test_character_search(capsys):
     assert {"x": [1, 0], "t": 2, "generates_target": True} in doc["assignments"]
     code, out, _ = run(capsys, "character-search", "--arities", "4,4",
                        "--target-order", "5")
-    # Z/5 admits only the zero character here, which does not count as empty
-    assert code in (0, 1)
+    # the zero character is always listed, so a search never exits 1
+    assert code == 0 and "x = (0, 0), t = 0" in out
 
 
 def test_baker_check(capsys):
@@ -412,3 +413,105 @@ def test_other_commands_output_is_pinned(capsys, monkeypatch):
     assert infinite == 6
     assert [codes.count(c) for c in range(5)] == [546, 46, 176, 4, 0]
     assert digest == "c156836815ca53b7d8cc07b6b7f8da0515997a66369b052bea73b329a75ecf2d"
+
+
+def test_validate_morita_usage_and_help_output_is_pinned(capsys, monkeypatch):
+    """Text and JSON output and exit codes of ``validate``, ``morita``,
+    argparse usage errors and ``--help``, against a fixed digest.  The
+    corpus: 30 seeded factor lists of 1-3 factors on 1-4 vertices and 12
+    input errors under ``validate``; ``morita`` on 20 single-factor pairs
+    (each against the next, and against itself relabelled) and on multi-factor
+    and malformed inputs; 14 usage errors; ``--help`` of ``gi`` and of
+    every subcommand.  ``COLUMNS`` is fixed, so that help wraps the same
+    way on every terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("GI_AUT_BOUND", raising=False)
+    monkeypatch.delenv("GI_INDEX_BOUND", raising=False)
+    rng = random.Random(2525)
+
+    def factor():
+        while True:
+            n = rng.choice((1, 2, 2, 3, 3, 4))
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            try:
+                validate(rows)
+                return rows
+            except errors.SftValidationError:
+                continue
+
+    lists = [[factor() for _ in range(rng.randint(1, 3))] for _ in range(30)]
+    bad = ["{", "[]", '{"factors": []}', '{"factors": [[[0, 1], [1, 0]]]}',
+           '{"factors": [[[-1]]]}', '{"factors": [[[1, 0], [0, 1]]]}',
+           '{"factors": [[[1, 2], [1]]]}', '{"factors": [[[true]]]}',
+           '{"factors": [[[1.5]]]}', '{"factors": [[[2]], 3]}', '{"x": 1}',
+           "no-such-file.json"]
+    argvs = [["validate", json.dumps({"factors": fs})] for fs in lists]
+    argvs += [["validate", b] for b in bad]
+    singles = [json.dumps({"factors": [factor()]}) for _ in range(21)]
+    for a, b in zip(singles, singles[1:]):
+        rows = json.loads(a)["factors"][0]
+        twin = relabel(rows, rng.sample(range(len(rows)), len(rows)))
+        argvs += [["morita", a, b], ["morita", a, json.dumps({"factors": [twin]})]]
+    argvs += [["morita", json.dumps({"factors": lists[0] * 2}), singles[0]],
+              ["morita", singles[0], bad[3]], ["morita", bad[0], singles[0]]]
+    argvs += [["bogus"], [], ["validate"], ["classify", "{}"], ["morita", "{}"],
+              ["--aut-bound", "x", "validate", "{}"],
+              ["--index-bound", "1.5", "validate", "{}"],
+              ["--format", "xml", "validate", "{}"], ["relations-check"],
+              ["relations-check", "--arities"], ["character-search", "--arities", "2"],
+              ["character-search", "--arities", "2", "--target-order", "x"],
+              ["baker-check", "--arities", "2,2,2", "extra"], ["--nope", "validate", "{}"]]
+    argvs += [["--help"], ["-h"]]
+    argvs += [[c, "--help"] for c in ("validate", "invariants", "homology", "k-groups",
+                                      "hk-check", "abelianization", "strong-ah", "classify",
+                                      "morita", "relations-check", "character-search",
+                                      "baker-check")]
+    lines, codes = [], []
+    for argv in argvs:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "--format", fmt, *argv)
+            codes.append(code)
+            lines.append(f"{code} {out}{err}")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert [codes.count(c) for c in range(5)] == [132, 36, 58, 0, 0]
+    assert digest == "98aae41ade9e87bccfdfdcaa7308ef5c231a12a9647f7493629509c9509ff556"
+
+
+# one parsed-argument example per subcommand
+HANDLER_ARGV = {
+    "validate": ["validate", '{"factors": [[[2]], [[3]]]}'],
+    "invariants": ["invariants", '{"factors": [[[3]], [[2, 1], [1, 2]]]}'],
+    "homology": ["homology", '{"factors": [[[3]], [[5]]]}'],
+    "k-groups": ["k-groups", '{"factors": [[[3]], [[5]]]}'],
+    "hk-check": ["hk-check", '{"factors": [[[3]], [[5]]]}'],
+    "abelianization": ["abelianization", '{"factors": [[[0, 3], [1, 0]], [[3]]]}'],
+    "strong-ah": ["strong-ah", '{"factors": [[[3]], [[3]], [[3]]]}'],
+    "classify": ["--aut-bound", "100", "classify", '{"factors": [[[3]]]}',
+                 '{"factors": [[[0, 3], [1, 0]]]}'],
+    "morita": ["morita", '{"factors": [[[2]]]}', '{"factors": [[[3]]]}'],
+    "relations-check": ["--index-bound", "2", "relations-check", "--arities", "2,2"],
+    "character-search": ["character-search", "--arities", "3,3", "--target-order", "4"],
+    "baker-check": ["baker-check", "--arities", "2,2,2"],
+}
+
+
+def test_every_subcommand_has_a_handler():
+    """Each subcommand of the parser has an example above and a ``_cmd_``
+    handler; without one, the subcommand would exit 4 on every call."""
+    parser = cli._build_parser()
+    names = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices.keys()
+    assert names == HANDLER_ARGV.keys()
+    for name in sorted(names):
+        assert callable(getattr(cli, "_cmd_" + name.replace("-", "_"), None)), name
+
+
+@pytest.mark.parametrize("name", sorted(HANDLER_ARGV))
+def test_handler_prints_nothing_and_returns_payload_lines_and_verdict(capsys, name):
+    # main alone prints the result and maps the verdict to exit 0 or 1
+    args = cli._build_parser().parse_args(HANDLER_ARGV[name])
+    result = getattr(cli, "_cmd_" + name.replace("-", "_"))(args)
+    assert capsys.readouterr() == ("", "")
+    payload, lines, verdict = result
+    assert isinstance(payload, dict) and type(verdict) is bool
+    assert isinstance(lines, list) and all(isinstance(line, str) for line in lines)

@@ -8,7 +8,8 @@ from groupoid_invariants import tables
 from groupoid_invariants.errors import BoundExceeded, IncompatibleParameters
 from groupoid_invariants.tables import (MAX_WORD_DEPTH, Brick, TableElement,
                                         alpha_element, alpha_parity, baker,
-                                        compose, compose_all, equal, gen_s,
+                                        character_search, compose, compose_all,
+                                        equal, gen_s,
                                         gen_tau, identity, inverse,
                                         permutation_element, tau_tilde,
                                         verify_relations)
@@ -567,3 +568,25 @@ def test_block_membership_predicate(rng):
 def test_permutation_element_requires_bijection():
     with pytest.raises(ValueError):
         permutation_element({1: 2, 2: 2}, (2,))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_s(1, 0, (2, 3)), "coordinate out of range"),
+    (lambda: tau_tilde(1, 0, (2, 3)), "coordinate out of range"),
+    (lambda: tau_tilde(1, 3, (2, 3)), "coordinate out of range"),
+    (lambda: alpha_element(1, 0, 1, (2, 3)), "coordinate out of range"),
+    (lambda: alpha_parity(0, 1, (2, 3)), "coordinate out of range"),
+    (lambda: baker(0, 1, (3, 3)), "coordinate out of range"),
+    (lambda: gen_tau(0, (2, 3)), "index must be >= 1"),
+    (lambda: alpha_element(0, 1, 2, (2, 3)), "index must be >= 1"),
+    (lambda: TableElement((1,), 0, 0, ()), "all arities must be >= 2"),
+    (lambda: character_search((1,), 3), "all arities must be >= 2"),
+    (lambda: alpha_parity(1, 2, (2.5, 3)), "arity 2.5 is not an integer"),
+], ids=["gen_s-d0", "tau_tilde-d0", "tau_tilde-d3", "alpha_element-d0", "alpha_parity-d0",
+        "baker-d0", "gen_tau-i0", "alpha_element-i0", "element-k1", "characters-k1",
+        "alpha_parity-k2.5"])
+def test_one_coordinate_index_and_arity_rule(call, message):
+    # a coordinate outside 1..n, an index below 1 or an arity that is not an
+    # integer >= 2 raises the same ValueError from every entry point
+    with pytest.raises(ValueError, match=message):
+        call()
