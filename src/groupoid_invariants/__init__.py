@@ -4,10 +4,12 @@ The package computes, with exact integer arithmetic throughout:
 
   * Smith normal forms, cokernels and kernels (``intmatrix``, ``fggroup``)
     from one diagonal elimination, run over Z or modulo an integer; a square
-    presentation with determinant D gets its cokernel from a certified map
-    onto Z/|D| when D != 0 and the cokernel is cyclic, else from the
-    elimination modulo |D|, over Z when D = 0, which replays only the rows
-    of the transform that the cokernel reads;
+    presentation with determinant D != 0 gets its cokernel from a map onto
+    Z/|D| when it is cyclic, else from that map on the part coprime to the
+    rest and the elimination modulo the rest, and every such answer is
+    certified; D = 0 and small presentations take the elimination modulo
+    |D|, over Z when D = 0, which replays only the rows of the transform
+    that the cokernel reads;
   * canonical forms, tensor products and Tor of finitely generated abelian
     groups over a coprime base, without Smith normal forms (``fggroup``);
   * Aut-orbit decisions, witnesses and orbit listings on group elements

@@ -36,13 +36,19 @@ presentation m and computes D = det m by one Bareiss elimination, kept as
 a fraction-free LU.  Every path ends in one ``intmatrix.ModularSnf``, the
 factors other than 1 with the rows of the left transform that belong to
 them, and ``_projection`` reads the group and its projection off it.
-When D != 0, coker m is cyclic and m has at least ``_CYCLIC_MIN_SIZE`` rows,
-a few adjugate columns from the LU of m^t give a row w with w m = 0 mod N
-and gcd(w, N) = 1, N = |D|, checked on every column, which makes
-x -> w x mod N an isomorphism coker m -> Z/N (``_cyclic_row`` proves it);
-no elimination runs.  Otherwise the elimination runs modulo N, over Z when D = 0
-(``intmatrix.smith_form_mod_det``), and replays only the rows it reads.
-ker m, free of the free rank of coker m, is left to the caller.  Every projection,
+When D != 0 and m has at least ``_CYCLIC_MIN_SIZE`` rows, a few adjugate
+columns from the LU of m^t give a row w with w m = 0 mod N, N = |D|.  If
+gcd(w, N) = 1, x -> w x mod N is an isomorphism coker m -> Z/N and no
+elimination runs.  Otherwise the columns leave g = gcd(w, N) > 1, and
+coker m splits into Z/N', read by w, N' the part of N coprime to g, and
+coker m (x) Z/N_g, N_g = N / N', from the elimination modulo N_g; the two
+merge by CRT (``_top_factor_first`` proves it).  Smaller m, and every m
+with D = 0, take the elimination modulo N, over Z when D = 0
+(``intmatrix.smith_form_mod_det``), which replays only the rows it reads.
+Every answer for D != 0 is certified, however it was found: its rows
+annihilate m, map onto the factors, and the factors multiply to N
+(``_certify``); a miss raises ``InternalError``.  ker m, free of the free
+rank of coker m, is left to the caller.  Every projection,
 these and the tensor map, is a ``QuotientMap``; like the tensor map, each is
 one isomorphism onto the canonical form among many, so the coordinates it
 gives an element are meaningful only up to an automorphism.
@@ -52,7 +58,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import gcd, prod
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -205,12 +210,6 @@ class FgGroup:
             raise ValueError("coordinate count mismatch")
         red = tuple(index(c) % d for c, d in zip(torsion, self.torsion))
         return FgElement(self, tuple(map(index, free)), red)
-
-    def elements(self):
-        """Iterate all elements; only valid for finite groups."""
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        return (self.element((), c) for c in product(*map(range, self.torsion)))
 
     def __str__(self):
         parts = []
@@ -414,41 +413,35 @@ def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, int]:
     """coker m with its projection, and D = det m, for a square m.
 
     D comes from one fraction-free LU (``IntMatrix.fraction_free_lu``), of
-    m^t when the certificate may run, else of m.  coker m comes from a
-    certified isomorphism onto Z/|D| (``_cyclic_row``) or, when D = 0, m
-    has fewer than ``_CYCLIC_MIN_SIZE`` rows or the certificate finds none,
-    from the elimination modulo |D| (``smith_form_mod_det``).  ker m is free
-    of the free rank of coker m, so it needs no slot here.
+    m^t when m has at least ``_CYCLIC_MIN_SIZE`` rows, else of m.  For
+    D != 0 and that many rows, coker m comes from adjugate columns
+    (``_top_factor_first``); otherwise from the elimination modulo |D|, over
+    Z when D = 0 (``smith_form_mod_det``).  Every answer for D != 0 is
+    certified (``_certify``) before it is read.  ker m is free of the free
+    rank of coker m, so it needs no slot here.
     """
-    certify = m.rows >= _CYCLIC_MIN_SIZE
-    # det m^t = det m; only the certificate needs the LU of m^t
-    lu = (m.transpose() if certify else m).fraction_free_lu()
-    red = _cyclic_row(m, lu) if certify and lu.det else None
-    if red is None:
-        red = smith_form_mod_det(m, lu.det)
+    big = m.rows >= _CYCLIC_MIN_SIZE
+    # det m^t = det m; only the adjugate columns need the LU of m^t
+    lu = (m.transpose() if big else m).fraction_free_lu()
+    red = _top_factor_first(m, lu) if big and lu.det else smith_form_mod_det(m, lu.det)
+    if lu.det:
+        _certify(m, red, abs(lu.det))
     return (*_projection(red.factors, red.u), lu.det)
 
 
-# right-hand sides tried before a cokernel is left to smith_form_mod_det
+# right-hand sides tried before the cokernel is split
 _CYCLIC_COLUMNS = 6
 # Below this many rows the elimination modulo |D| costs no more than the
-# certificate: on random 0-3 presentations the two paths run level up to
-# n = 6 and the certificate wins from n = 8, while a non-cyclic 2-4-vertex
+# adjugate columns: on random 0-3 presentations the two paths run level up
+# to n = 6 and the columns win from n = 8, while a non-cyclic 2-4-vertex
 # presentation pays for its unused columns (about 1.4x).
 _CYCLIC_MIN_SIZE = 8
 
 
-def _cyclic_row(m: IntMatrix, lu: FractionFreeLU) -> ModularSnf | None:
-    """A row w for which x -> w x mod N is an isomorphism coker m -> Z/N,
-    N = |det m| != 0, from the LU of m^t, as ``ModularSnf((N,), w)``
-    (``ModularSnf((), 0 x n)`` when N = 1); None when none is found.
-
-    The certificate.  Let w m = 0 mod N and gcd(w_1, ..., w_n, N) = 1.  The
-    first makes x -> w x mod N vanish on the image of m, so it factors
-    through coker m; by the second its image, generated by the w_i mod N, is
-    all of Z/N.  |coker m| = |det m| = N, so this surjection between groups
-    of order N is an isomorphism.  Both facts are checked here, the first on
-    every column of m, so a returned w is never wrong, however it was found.
+def _top_factor_first(m: IntMatrix, lu: FractionFreeLU) -> ModularSnf:
+    """coker m for N = |det m| != 0, from the LU of m^t: a row w for which
+    x -> w x mod N is an isomorphism coker m -> Z/N when one is found,
+    else the split below.
 
     Finding w.  For a column c, y = lu.solve(c) = adj(m^t) c, and
     w = y^t = c^t adj(m) has w m = det(m) c^t = 0 mod N.  With u m v = S =
@@ -457,16 +450,37 @@ def _cyclic_row(m: IntMatrix, lu: FractionFreeLU) -> ModularSnf | None:
     terms with s_i = 1 vanish.  A cyclic coker m (s_1 = ... = s_n-1 = 1)
     thus gives w = a u_n mod N with a = +-(c^t v)_n, and u_n, a row of a
     unimodular matrix, has content 1, so gcd(w, N) = gcd(a, N).  A
-    non-cyclic one gives gcd(w, N) divisible by N / s_n = s_1 ... s_n-1 > 1
-    for every c, so it is never certified.  A w with g = gcd(w, N) > 1
-    becomes w + N' y for the next column's y, N' the part of N coprime to g:
-    a prime of N that does not divide g divides N' and not w, so not the
-    new w; one that divides g does not divide N', so it divides the new w
-    only if it divides y's coefficient too.  So only the primes of N that
-    divided every coefficient so far are left.  Columns are made only when
-    needed, with 16-bit entries from a fixed 64-bit linear congruential
-    generator (Knuth's MMIX constants), so answers are deterministic; after
-    ``_CYCLIC_COLUMNS`` columns without a certificate, the caller falls back.
+    non-cyclic one gives g = gcd(w, N) divisible by N / s_n = s_1 ... s_n-1
+    > 1 for every c.  A w with g > 1 becomes w + N' y for the next column's
+    y, N' the part of N coprime to g: a prime of N that does not divide g
+    divides N' and not w, so not the new w; one that divides g does not
+    divide N', so it divides the new w only if it divides y's coefficient
+    too.  So only the primes of N that divided every coefficient so far are
+    left.  Columns are made only when needed, with 16-bit entries from a
+    fixed 64-bit linear congruential generator (Knuth's MMIX constants), so
+    answers are deterministic.  When g = 1, w mod N is the answer
+    (``_certify`` proves it an isomorphism).
+
+    The split.  After ``_CYCLIC_COLUMNS`` columns with g > 1, write
+    N = N' N_g with N' the largest divisor of N coprime to g (g's common
+    part divided out until none is left, with no factoring); N_g > 1 is
+    made of the primes of g.  coker m is the direct sum of its N'-primary
+    and N_g-primary parts, of orders N' and N_g.  The N'-part is Z/N',
+    read by w mod N': w annihilates m modulo N, hence modulo N', and
+    gcd(w, N') = 1 (a prime of N' dividing every w_i would divide g), so
+    x -> w x mod N' maps coker m onto Z/N'; it kills the N_g-part, whose
+    order is coprime to N', so it maps the N'-part, of order N', onto Z/N'
+    and is an isomorphism there.  The N_g-part is coker m (x) Z/N_g: N_g
+    kills it, and N_g is invertible on the N'-part, which vanishes there.
+    That is the elimination modulo N_g (``smith_form_mod_det``), with
+    factors e_1 | ... | e_k.  e_k and N' are coprime, so by CRT coker m =
+    Z/e_1 (+) ... (+) Z/e_k-1 (+) Z/(e_k N'), and the row of the top factor
+    is w on Z/N' and the elimination's last row on Z/e_k.  So the part N'
+    of the largest invariant factor is split off first, as in
+    Eberly-Giesbrecht-Villard ("On computing the determinant and Smith form
+    of an integer matrix", FOCS 2000), and the elimination runs modulo N_g,
+    usually a few bits, instead of N.  When N' = 1 it is the elimination
+    modulo N.
     """
     n = m.rows
     mod = abs(lu.det)
@@ -482,21 +496,93 @@ def _cyclic_row(m: IntMatrix, lu: FractionFreeLU) -> ModularSnf | None:
             c.append(state >> 48)
         y = lu.solve(c)
         if w:
-            coprime = mod
-            while (h := gcd(coprime, g)) > 1:
-                coprime //= h
+            coprime = _coprime_part(mod, g)
             w = [(x + coprime * z) % mod for x, z in zip(w, y)]
         else:
             w = [x % mod for x in y]
         g = gcd(mod, *w)
         if g == 1:
-            break
-    else:
-        return None
-    if any(sum(map(mul, w, m.entries[j::n])) % mod for j in range(n)):
-        raise InternalError(f"a certificate row does not annihilate the presentation "
-                            f"modulo {mod}")
-    return ModularSnf((mod,), IntMatrix(1, n, tuple(w)))
+            return ModularSnf((mod,), IntMatrix(1, n, tuple(w)))
+    coprime = _coprime_part(mod, g)
+    red = smith_form_mod_det(m, mod // coprime)
+    if coprime == 1:
+        return red
+    d = red.factors[-1] * coprime
+    idem = _idempotent(d, coprime)  # 1 mod N', 0 mod e_k
+    k = len(red.factors) - 1
+    last = [(y + (x - y) * idem) % d for x, y in zip(w, red.u.row(k))]
+    return ModularSnf(red.factors[:-1] + (d,),
+                      IntMatrix(k + 1, n, red.u.entries[:k * n] + tuple(last)))
+
+
+def _coprime_part(n: int, g: int) -> int:
+    """The largest divisor of n coprime to g, by gcds alone."""
+    while (h := gcd(n, g)) > 1:
+        n //= h
+    return n
+
+
+def _certify(m: IntMatrix, red: ModularSnf, mod: int) -> None:
+    """Check that red gives an isomorphism coker m -> (+) Z/d_i, for a
+    square m with N = |det m| = mod != 0, or raise ``InternalError``.
+
+    Let P be the rows of red.u, row i read modulo d_i.  (a) Row i of P
+    annihilates every column of m modulo d_i, so x -> P x factors through
+    coker m.  (b) P maps Z^n onto (+) Z/d_i (``_onto``).  (c) prod d_i =
+    N = |coker m|, so this surjection between groups of equal order is an
+    isomorphism.  None of it depends on how red was found.
+    """
+    n, ent, u = m.rows, m.entries, red.u.entries
+    factors = red.factors
+    if prod(factors) != mod:
+        raise InternalError(f"the factors {factors} do not multiply to |det| = {mod}")
+    rows = [u[i * n:(i + 1) * n] for i in range(len(factors))]
+    for row, d in zip(rows, factors):
+        for j in range(n):
+            if sum(map(mul, row, ent[j::n])) % d:
+                raise InternalError(f"a cokernel row does not annihilate the presentation "
+                                    f"modulo {d}")
+    if not _onto(rows, factors):
+        raise InternalError(f"the cokernel rows do not map onto the factors {factors}")
+
+
+def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
+    """Whether x -> (row_i x mod d_i)_i maps Z^n onto (+) Z/d_i, for a
+    divisibility chain d_1 | ... | d_r.
+
+    Rows go from the last up; at row t every remaining d_i divides d_t, so
+    the remaining sum G_t is a Z/d_t-module, generated by the columns.
+    They reach all of Z/d_t only if their row-t entries have gcd 1 with
+    d_t.  Then Euclid's column operations, which keep the subgroup the
+    columns generate, leave one column c with a unit e modulo d_t in row t
+    and 0 there in the others.  (y, y_t) - y_t e^-1 c has row t zero, and
+    k c with row t zero has d_t | k, so k c = 0: G_t / <c> is G_t-1, and
+    the columns generate G_t iff the others generate G_t-1.  On the first
+    row the gcd decides.
+    """
+    rows = [list(row) for row in rows]
+    for t in reversed(range(1, len(rows))):
+        d = factors[t]
+        top = rows[t] = [x % d for x in rows[t]]
+        if gcd(d, *top) != 1:
+            return False
+        while len(live := [j for j, x in enumerate(top) if x]) > 1:
+            # column j -= q_j column p: one pass from a unit pivot, else a
+            # Euclidean step from the least entry
+            p = next((j for j in live if gcd(top[j], d) == 1), None)
+            if p is None:
+                p = min(live, key=top.__getitem__)
+                qs = [x // top[p] for x in top]
+            else:
+                inv = pow(top[p], -1, d)
+                qs = [x * inv % d for x in top]
+            qs[p] = 0
+            rows[:t + 1] = [[(x - q * row[p]) % f for x, q in zip(row, qs)]
+                            for row, f in zip(rows[:t + 1], factors)]
+            top = rows[t]
+        for row in rows[:t]:
+            row[live[0]] = 0  # column c leaves the sum
+    return not rows or gcd(factors[0], *rows[0]) == 1
 
 
 def _piece_orders(g: FgGroup, h: FgGroup) -> list[int]:

@@ -14,17 +14,19 @@ One diagonal elimination (``_eliminate``) serves cokernels and kernels.  It
 runs over Z/N, N = 0 meaning Z, and logs its row and column operations.
 ``smith_normal_form`` is the case N = 0 with both transforms replayed from
 the logs, for callers that read them: kernels need the right transform.
-``smith_form_mod_det`` reduces a square matrix m with determinant D and
-replays only the rows of the left transform that a cokernel reads.  For
-D != 0, m @ adj(m) = D * I puts D Z^n inside the image of m, so
-coker m = (Z/|D|)^n / image, and elimination modulo N = |D| keeps every
+``smith_form_mod_det`` reduces a square matrix m modulo the integer N it
+is given and replays only the rows of the left transform that a cokernel
+reads; what it presents is coker m (x) Z/N = (Z/N)^n / image.  For
+D = det m != 0, m @ adj(m) = D * I puts D Z^n inside the image of m, so
+with N = |D| that is coker m itself, and elimination modulo N keeps every
 entry below |D| (the modular-determinant method of Domich-Kannan-Trotter,
 Math. Oper. Res. 1987, and Hafner-McCurley, SIAM J. Comput. 1991).  Over Z
 the transform entries of a dense n x n matrix grow to thousands of bits;
-modulo |D| they stay at the size of D.  For D = 0 it eliminates over Z.
-``fggroup.cokernel_and_kernel`` needs it for singular and small matrices and
-for cokernels that are not cyclic: a cyclic one is read off adjugate
-columns from ``solve``.
+modulo N they stay at the size of N.  N = 0 eliminates over Z.
+``fggroup.cokernel_and_kernel`` runs it modulo |D| for singular and small
+matrices, and modulo a divisor N_g of |D| for the part of a large
+cokernel that adjugate columns from ``solve`` do not read: the primes of
+|D| shared by the factors below the largest.
 """
 
 from __future__ import annotations
@@ -261,16 +263,15 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 
 @dataclass(frozen=True)
 class ModularSnf:
-    """Diagonal reduction of a square matrix m modulo N = |det m|, N = 0
-    meaning Z.
+    """Diagonal reduction of a square matrix m modulo N, N = 0 meaning Z.
 
     For some u and v invertible modulo N, u @ m @ v is congruent modulo N to
     a diagonal matrix diag(s_1, ..., s_n).  ``factors`` are the gcd(s_i, N)
     other than 1, a divisibility chain with zeros trailing (only for N = 0):
-    coker m is the direct sum of the Z/factors[r], Z/0 = Z.  Row r of ``u``
-    is the row of u that belongs to factors[r], reduced modulo it when it is
-    nonzero, so the class of x in coker m has coordinates (u x)_r, read
-    modulo factors[r].
+    coker m (x) Z/N is the direct sum of the Z/factors[r], Z/0 = Z, and for
+    N = |det m| or N = 0 that is coker m.  Row r of ``u`` is the row of u
+    that belongs to factors[r], reduced modulo it when it is nonzero, so the
+    class of x has coordinates (u x)_r, read modulo factors[r].
     """
 
     factors: tuple[int, ...]
@@ -285,8 +286,9 @@ def _inverse_mod(x: int, n: int) -> int:
 
 
 def smith_form_mod_det(m: IntMatrix, det: int) -> ModularSnf:
-    """Reduce a square m with determinant det modulo N = |det|
-    (``_eliminate``); det = 0 eliminates over Z.
+    """Reduce a square m modulo N = |det| (``_eliminate``), presenting
+    coker m (x) Z/N; det = 0 eliminates over Z.  With det = det m that is
+    coker m, but any N may be given.
 
     Only the rows of u that belong to factors other than 1 are replayed from
     the logged row operations, and no column of v, so u costs O(n^2) per

@@ -19,22 +19,23 @@ presentation id - A^t, which computes D = det(id - A^t) once, by one
 Bareiss elimination kept as a fraction-free LU.  For D != 0, H_1 = 0 and
 H_0 has order N = |D|, and:
 
-  * when H_0 is cyclic and n >= 8, an LU of id - A, the transpose, solves
-    (id - A) y = D c for a few seeded c, each in O(n^2), giving
-    y = adj(id - A) c exactly, and the y combine into a row w with
-    gcd(w, N) = 1.  Each such w satisfies
-    w (id - A^t) = D c^t = 0 mod N, and that is checked on every column.
-    Together with |H_0| = N the two facts make x -> w x mod N an
-    isomorphism H_0 -> Z/N (proof at ``fggroup._cyclic_row``): H_0 = Z/N and
-    the unit class is sum(w) mod N, with no elimination modulo N;
-  * otherwise (n < 8, where the elimination costs no more than the
-    columns, H_0 not cyclic, or no w certified after a fixed number of
-    columns) H_0 and the unit class come from one elimination modulo N
+  * when n >= 8, an LU of id - A, the transpose, solves (id - A) y = D c
+    for a few seeded c, each in O(n^2), giving y = adj(id - A) c exactly,
+    and the y combine into a row w with w (id - A^t) = 0 mod N.  When
+    gcd(w, N) = 1, x -> w x mod N is an isomorphism H_0 -> Z/N, and the
+    unit class is sum(w) mod N, with no elimination.  Otherwise, N' being
+    the part of N coprime to gcd(w, N), w mod N' reads the cyclic
+    N'-part of H_0 and one elimination modulo N / N' the rest;
+  * when n < 8, where the elimination costs no more than the columns,
+    H_0 and the unit class come from one elimination modulo N
     (``intmatrix.smith_form_mod_det``).
 
 For D = 0 the same elimination runs over Z and gives H_0 and the unit
-class.  For D != 0 ``invariants`` checks exactly that |H_0| = |D| and that
-the exponent of H_0 kills the unit class.  The coordinates of the unit class depend on which isomorphism onto
+class.  For D != 0 every answer is certified in ``fggroup._certify``
+before the unit class is read: the rows annihilate id - A^t, they map
+onto the factors, and the factors multiply to N, so the map is an
+isomorphism H_0 -> BF and the unit class is the image of (1, ..., 1).
+The coordinates of the unit class depend on which isomorphism onto
 the canonical form a path found, so they are meaningful only up to an
 automorphism of H_0: compare unit classes with
 ``automorphisms.aut_orbit_equivalent``, never coordinate by coordinate.
@@ -158,14 +159,7 @@ def invariants(a: SftMatrix) -> SftInvariants:
 def _compute_invariants(m: IntMatrix) -> SftInvariants:
     n = m.rows
     bf, qmap, det = cokernel_and_kernel(IntMatrix.identity(n) - m.transpose())
-    unit = qmap((1,) * n)
-    if det:
-        exponent = bf.torsion[-1] if bf.torsion else 1
-        if bf.order() != abs(det) or not unit.scale(exponent).is_zero:
-            raise errors.InternalError(
-                f"|det| = {abs(det)} but the cokernel gave BF = {bf} "
-                f"with unit class {unit.coords()}")
-    return SftInvariants(bf, unit, det)
+    return SftInvariants(bf, qmap((1,) * n), det)
 
 
 def is_primitive(a: SftMatrix) -> bool:

@@ -275,17 +275,6 @@ class TableElement:
     def is_identity(self) -> bool:
         return self.offset == 0 and all(s == t for s, t in self.table)
 
-    def fixes_above(self, r: int) -> bool:
-        """True iff every point with index > r is fixed (the index-block test)."""
-        if self.offset != 0:
-            return False
-        for s, t in self.table:
-            if s.index > r and s != t:
-                return False
-            if s.index <= r and t.index > r:
-                return False
-        return True
-
 
 def identity(arities) -> TableElement:
     return TableElement(tuple(arities), 0, 0, ())

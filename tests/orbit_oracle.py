@@ -13,6 +13,7 @@ decision on every element of the group, so its cost is the group's order.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
@@ -122,7 +123,14 @@ def bfs_orbit_equivalent(g, a, b) -> bool:
                for orb in bfs_orbit(view, view.to_primary(a.torsion)))
 
 
+def elements(group):
+    """Iterate all elements of a finite group."""
+    if not group.is_finite:
+        raise ValueError("infinite group")
+    return (group.element((), c) for c in product(*map(range, group.torsion)))
+
+
 def brute_torsion_orbit(group, elem) -> frozenset[tuple[int, ...]]:
     """Aut(T)-orbit of an element of a finite group, by deciding every element."""
-    return frozenset(x.torsion for x in group.elements()
+    return frozenset(x.torsion for x in elements(group)
                      if aut_orbit_equivalent(group, elem, x))

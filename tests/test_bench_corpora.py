@@ -7,11 +7,16 @@ benchmark run instead of counting as a failed operation.  The workload
 buckets its pairs by unit coordinates (``Classify._same``), so a change to
 unit coordinates redraws this corpus.  Seeds 36, 48, 79, 88 and 111 (of
 1-160) hit the workload's own ``IndexError`` in ``Classify._same`` and are
-not used here.
+not used here.  The argv of two rounds on seeds 1-3 is pinned by a digest,
+so a library change that moves the unit coordinates of small presentations
+fails here, not in the benchmark's set-up.
 """
 
+import hashlib
+import json
 import random
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -24,12 +29,28 @@ from bench.run import execute  # noqa: E402
 from bench.workloads import WORKLOADS  # noqa: E402
 
 
+@lru_cache(maxsize=None)
+def _two_rounds(seed):
+    """The full-size classify workload of a seed and its first two rounds."""
+    wl = WORKLOADS["classify"](random.Random(seed), groupoid_invariants)
+    return wl, (wl.round(), wl.round())
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_one_full_size_classify_round_passes_every_check(seed):
-    wl = WORKLOADS["classify"](random.Random(seed), groupoid_invariants)
+    wl, (ops, _) = _two_rounds(seed)
     assert not wl.smoke
-    ops = wl.round()
     assert len(ops) == len(wl.ROUND)
     failures = [(op.argv, reason) for op in ops
                 if (reason := wl.check(op, execute(op, groupoid_invariants, cli)))]
     assert failures == []
+
+
+def test_classify_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for ops in _two_rounds(seed)[1]:
+            for op in ops:
+                digest.update(json.dumps(op.argv).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "0ef8a40772b7122355da8846eed888cb261f1daf9f1419a9298bf2616a47d03f"

@@ -351,7 +351,7 @@ def test_invariants_output_is_pinned(capsys):
             lines.append(f"{code} {out}{err}")
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
     assert singular == 8
-    assert digest == "c94be319a67b18d1567cdba0ca29fef7f12a6101022e97c58afed6d674252007"
+    assert digest == "247d7fa4b1b56c4d08793863ddf4a7fd948795a39ca9714a857eec062d85f6a1"
 
 
 def test_other_commands_output_is_pinned(capsys, monkeypatch):

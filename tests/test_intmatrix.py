@@ -10,8 +10,9 @@ from groupoid_invariants.errors import InternalError
 from groupoid_invariants import fggroup
 from groupoid_invariants.fggroup import (FgGroup, GroupHom, cokernel, cokernel_and_kernel,
                                          kernel_group)
-from groupoid_invariants.intmatrix import (FractionFreeLU, IntMatrix, _inverse_mod,
-                                          smith_form_mod_det, smith_normal_form)
+from groupoid_invariants.intmatrix import (FractionFreeLU, IntMatrix, ModularSnf,
+                                          _inverse_mod, smith_form_mod_det,
+                                          smith_normal_form)
 
 
 def snf_invariants_hold(m, snf):
@@ -286,7 +287,8 @@ def test_modular_cokernel_matches_snf_cokernel(monkeypatch):
         assert u.order() == ref_u.order()
         assert aut_orbit_equivalent(grp, u, ref_u)
     # both branches run: every nonsingular cyclic cokernel with at least
-    # _CYCLIC_MIN_SIZE rows is certified, and exactly the others fall back
+    # _CYCLIC_MIN_SIZE rows is certified within the columns, and exactly the
+    # others reach smith_form_mod_det, modulo |det| or, split, modulo a divisor
     assert 0 < len(fallbacks) == expect_fallback < len(corpus)
     assert singular_torsion > 90
 
@@ -342,8 +344,8 @@ def _seeded_presentation(seed, n=12):
 
 def test_a_doubled_certificate_row_falls_back(monkeypatch):
     # coker = Z/19632, an even order: twice any adjugate row has
-    # gcd(w, 19632) >= 2, so no row is certified and the elimination modulo
-    # |det| answers
+    # gcd(w, 19632) >= 2, so no row is certified within the columns and the
+    # split answers, w on the odd part and the elimination modulo 16 on the rest
     m = _seeded_presentation(47)
     ref = cokernel(m)[0]
     assert ref == FgGroup.cyclic(19632)
@@ -355,6 +357,144 @@ def test_a_doubled_certificate_row_falls_back(monkeypatch):
     grp, qmap, det = cokernel_and_kernel(m)
     assert len(fallbacks) == 1 and grp == ref and abs(det) == 19632
     assert qmap((1,) * 12).order() == cokernel(m)[1]((1,) * 12).order()
+
+
+def _split_corpus():
+    """Nonsingular presentations with 8-60 rows: id - A^t with entries 0-3,
+    most with a cyclic cokernel; the same with rows 0 and 1 multiplied by 2
+    or 3, whose cokernel is never cyclic; and diagonal
+    matrices whose largest factor has no prime that the others lack, so that
+    N' = 1, hidden by unimodular changes of basis."""
+    rng = random.Random(1724)
+    corpus = []
+    for n in range(8, 61, 4):
+        for scale in (1, 2, 3):
+            rows = (IntMatrix.identity(n)
+                    - IntMatrix.from_rows([[rng.randint(0, 3) for _ in range(n)]
+                                           for _ in range(n)]).transpose()).to_rows()
+            rows[:2] = [[scale * x for x in r] for r in rows[:2]]
+            corpus.append(IntMatrix.from_rows(rows))
+    for diag in ((2, 2), (2, 4), (3, 9), (6, 12), (2, 2, 8), (4, 4)):
+        n = rng.randint(8, 14)
+        d = IntMatrix.diagonal([1] * (n - len(diag)) + list(diag))
+        corpus.append(_random_unimodular(rng, n) @ d @ _random_unimodular(rng, n))
+    return corpus
+
+
+def test_split_matches_the_elimination_modulo_det(monkeypatch):
+    # the oracle is the elimination modulo |det|; each cyclic cokernel is
+    # also forced into the split by solves multiplied by a prime p of |det|,
+    # which leaves p in every row's gcd
+    moduli = []
+    reduce = fggroup.smith_form_mod_det
+    monkeypatch.setattr(fggroup, "smith_form_mod_det",
+                        lambda m, det: moduli.append(det) or reduce(m, det))
+    scale = [1]
+    _corrupted_solves(monkeypatch, lambda y: [scale[0] * x for x in y])
+    kinds = {"cyclic": 0, "split": 0, "whole": 0, "forced": 0}
+    for m in _split_corpus():
+        n, det = m.rows, m.det()
+        mod = abs(det)
+        ref = reduce(m, det)
+        ref_grp, ref_map = fggroup._projection(ref.factors, ref.u)
+        cyclic = len(ref.factors) == 1
+        p = next((p for p in (2, 3, 5, 7) if mod % p == 0), 1)
+        for scale[0] in ((1, p) if cyclic and p > 1 else (1,)):
+            moduli.clear()
+            grp, qmap, got = cokernel_and_kernel(m)
+            ones = (1,) * n
+            assert grp == ref_grp and got == det
+            assert aut_orbit_equivalent(grp, qmap(ones), ref_map(ones))
+            if cyclic and scale[0] == 1:
+                kinds["cyclic"] += 1
+                assert moduli == []
+                continue
+            # one elimination, modulo N_g: a divisor of N coprime to N / N_g
+            # that holds every prime of the factors below the top one
+            [n_g] = moduli
+            assert mod % n_g == 0 and math.gcd(n_g, mod // n_g) == 1
+            assert math.gcd(mod // n_g, mod // ref.factors[-1]) == 1
+            if scale[0] > 1:
+                kinds["forced"] += 1
+                assert n_g == p ** fggroup._valuation(mod, p)
+            else:
+                kinds["split" if n_g < mod else "whole"] += 1
+    assert all(k >= 5 for k in kinds.values()), kinds
+
+
+def test_a_non_cyclic_cokernel_is_eliminated_modulo_a_proper_divisor_of_det(monkeypatch):
+    # BF = Z/2 + Z/1184, det 2368 = 2^6 * 37: the columns leave g = 2, so the
+    # elimination runs modulo 64 and the top factor's 37 comes from w
+    rows = [[0, 1, 2, 0, 0, 3, 1, 1, 3], [3, 1, 0, 3, 1, 3, 3, 1, 0],
+            [3, 2, 3, 2, 0, 1, 1, 1, 1], [0, 0, 2, 2, 2, 0, 3, 0, 1],
+            [2, 2, 2, 2, 2, 2, 1, 2, 0], [3, 0, 2, 3, 0, 1, 3, 0, 3],
+            [2, 3, 2, 1, 2, 1, 1, 3, 2], [0, 3, 1, 0, 2, 1, 1, 3, 0],
+            [3, 2, 0, 3, 0, 0, 0, 1, 1]]
+    m = IntMatrix.identity(9) - IntMatrix.from_rows(rows).transpose()
+    moduli = []
+    reduce = fggroup.smith_form_mod_det
+    monkeypatch.setattr(fggroup, "smith_form_mod_det",
+                        lambda m, det: moduli.append(det) or reduce(m, det))
+    grp, qmap, det = cokernel_and_kernel(m)
+    assert grp == FgGroup(0, (2, 1184)) and det == 2368
+    assert moduli == [64]
+
+
+def test_the_certificate_rejects_each_failed_clause():
+    # id - A^t of A = 2J - I on 3 vertices: coker = Z/2 + Z/2 + Z/4, det -16
+    m = IntMatrix.from_rows([[0, -2, -2], [-2, 0, -2], [-2, -2, 0]])
+    red = smith_form_mod_det(m, -16)
+    assert red.factors == (2, 2, 4)
+    fggroup._certify(m, red, 16)
+    u = red.u.to_rows()
+    bad = {
+        # (a) the last row plus e_0 no longer annihilates m modulo 4
+        "annihilate": ModularSnf(red.factors, IntMatrix.from_rows(
+            u[:2] + [[u[2][0] + 1] + u[2][1:]])),
+        # (b) twice the last row annihilates, but misses the odd classes of Z/4
+        "onto": ModularSnf(red.factors, IntMatrix.from_rows(
+            u[:2] + [[2 * x % 4 for x in u[2]]])),
+        # (c) a row dropped: the rest annihilates and is onto, of order 8 != 16
+        "multiply": ModularSnf(red.factors[1:], IntMatrix.from_rows(u[1:])),
+    }
+    for clause, wrong in bad.items():
+        with pytest.raises(InternalError, match=clause):
+            fggroup._certify(m, wrong, 16)
+    # a single row is onto iff its entries and the factor are coprime
+    n = 12
+    m = _seeded_presentation(43, n)
+    grp, qmap, det = cokernel_and_kernel(m)
+    w = [qmap([int(i == j) for i in range(n)]).torsion[0] for j in range(n)]
+    fggroup._certify(m, ModularSnf(grp.torsion, IntMatrix(1, n, tuple(w))), abs(det))
+    p = next(p for p in (2, 3, 5, 7) if det % p == 0)
+    with pytest.raises(InternalError, match="onto"):
+        fggroup._certify(m, ModularSnf(grp.torsion, IntMatrix(1, n, tuple(p * x for x in w))),
+                         abs(det))
+
+
+def test_onto_agrees_with_the_generated_subgroup():
+    # the subgroup the columns generate, listed by closure under addition
+    rng = random.Random(1987)
+    chains = [(2,), (6,), (2, 2), (2, 4), (2, 6), (3, 9), (6, 6), (2, 2, 4), (2, 6, 12)]
+    verdicts = set()
+    for _ in range(1500):
+        factors = rng.choice(chains)
+        n = rng.randint(1, 4)
+        rows = [[rng.randrange(-2 * d, 2 * d) for _ in range(n)] for d in factors]
+        gens = [tuple(r[j] % d for r, d in zip(rows, factors)) for j in range(n)]
+        seen = {(0,) * len(factors)}
+        todo = list(seen)
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = tuple((a + b) % d for a, b, d in zip(x, g, factors))
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        onto = len(seen) == math.prod(factors)
+        assert fggroup._onto(rows, factors) == onto
+        verdicts.add(onto)
+    assert verdicts == {True, False}
 
 
 def test_a_certificate_row_that_does_not_annihilate_is_an_internal_error(monkeypatch):

@@ -346,3 +346,41 @@ def test_modular_self_check_rejects_a_wrong_reduction(monkeypatch):
     monkeypatch.setattr(fggroup, "smith_form_mod_det", doubled)
     with pytest.raises(errors.InternalError):
         invariants(validate([[1, 2, 2], [2, 1, 2], [2, 2, 1]]))
+
+
+def _corrupt_a_row(monkeypatch, row):
+    """Make every elimination add 1 to the first entry of the given row of u."""
+    reduce = fggroup.smith_form_mod_det
+
+    def corrupted(m, det):
+        red = reduce(m, det)
+        u = red.u.to_rows()
+        u[row][0] += 1
+        return ModularSnf(red.factors, IntMatrix.from_rows(u))
+    monkeypatch.setattr(fggroup, "smith_form_mod_det", corrupted)
+
+
+def test_the_certificate_rejects_a_corrupted_unit_row(monkeypatch):
+    # uncertified, this row gave BF = Z/2 + Z/2 + Z/4 with unit (1, 1, 0), an
+    # element of order 2, instead of (1, 1, 3), of order 4
+    rows = [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
+    inv = invariants(validate(rows))
+    assert inv.bf == FgGroup(0, (2, 2, 4)) and inv.unit.torsion == (1, 1, 3)
+    _corrupt_a_row(monkeypatch, -1)
+    with pytest.raises(errors.InternalError):
+        invariants(validate(rows))
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_the_certificate_rejects_a_corrupted_row_of_the_split(monkeypatch, row):
+    # BF = Z/2 + Z/1184, det 2368: the elimination modulo 64 gives the rows
+    # of Z/2 and Z/32, and the last is merged with w into the row of Z/1184
+    rows = [[0, 1, 2, 0, 0, 3, 1, 1, 3], [3, 1, 0, 3, 1, 3, 3, 1, 0],
+            [3, 2, 3, 2, 0, 1, 1, 1, 1], [0, 0, 2, 2, 2, 0, 3, 0, 1],
+            [2, 2, 2, 2, 2, 2, 1, 2, 0], [3, 0, 2, 3, 0, 1, 3, 0, 3],
+            [2, 3, 2, 1, 2, 1, 1, 3, 2], [0, 3, 1, 0, 2, 1, 1, 3, 0],
+            [3, 2, 0, 3, 0, 0, 0, 1, 1]]
+    assert invariants(validate(rows)).bf == FgGroup(0, (2, 1184))
+    _corrupt_a_row(monkeypatch, row)
+    with pytest.raises(errors.InternalError, match="annihilate"):
+        invariants(validate(rows))
