@@ -75,14 +75,6 @@ DEFAULT_ORDER_BOUND = 10 ** 5
 DEFAULT_CANDIDATE_BOUND = 10 ** 7
 
 
-def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (u m v = I gives m^-1 = v u)."""
-    snf = smith_normal_form(m)
-    if any(d != 1 for d in snf.diagonal()) or m.rows != m.cols:
-        raise ValueError("matrix is not unimodular")
-    return snf.v @ snf.u
-
-
 def torsion_orbit(group: FgGroup, elem: FgElement) -> frozenset[tuple[int, ...]]:
     """Aut(T)-orbit of an element of a finite group, as torsion coordinate
     tuples: the box of the module docstring, filtered by the decision."""
@@ -111,7 +103,8 @@ def aut_orbit_equivalent(g: FgGroup, a: FgElement, b: FgElement) -> bool:
 
 
 def aut_orbit_witness(g: FgGroup, a: FgElement, b: FgElement) -> GroupHom | None:
-    """An explicit automorphism of g mapping a to b, or None."""
+    """An explicit automorphism of g mapping a to b, or None; the witness
+    is checked before it is returned."""
     hom = _orbit_decision(g, a, b, want_witness=True)
     if hom is not None and not (hom(a) == b and hom.is_isomorphism()):
         raise InternalError("orbit witness is not an automorphism carrying a to b")
@@ -227,15 +220,18 @@ def _assemble_witness(g, a, b, d, psi):
     r = g.free_rank
     t_group = psi.domain
     if d == 0:
-        m = IntMatrix.identity(r)
+        cols = IntMatrix.identity(r).to_rows()
         w = t_group.zero()
         first_row = (0,) * r
     else:
-        col_a = IntMatrix(r, 1, a.free)
-        col_b = IntMatrix(r, 1, b.free)
-        ua = smith_normal_form(col_a).u
-        ub = smith_normal_form(col_b).u
-        m = unimodular_inverse(ub) @ ua
+        # ua a = ub b = (d, 0, ..., 0), so M = ub^-1 ua carries a to b.  The
+        # inverse comes from the LU of ub: solve gives adj(ub) = det ub^-1,
+        # and det = +-1, so column j of M is det solve(column j of ua)
+        ua = smith_normal_form(IntMatrix(r, 1, a.free)).u
+        lu = smith_normal_form(IntMatrix(r, 1, b.free)).u.fraction_free_lu()
+        if abs(lu.det) != 1:
+            raise InternalError(f"the free-part transform has determinant {lu.det}, not +-1")
+        cols = [[lu.det * x for x in lu.solve(col)] for col in ua.transpose().to_rows()]
         first_row = ua.row(0)
         # solve d*w = b_tor - psi(a_tor) in T, componentwise
         diff = (t_group.element((), b.torsion)
@@ -248,13 +244,8 @@ def _assemble_witness(g, a, b, d, psi):
             nj = dj // gg
             w_coords.append((c // gg) * _inverse_mod((d // gg) % nj, nj) % nj)
         w = t_group.element((), tuple(w_coords))
-    images = []
-    for j in range(r):
-        free = tuple(m[i, j] for i in range(r))
-        tor = w.scale(first_row[j]).torsion
-        images.append(g.element(free, tor))
-    for img in psi.images:
-        images.append(g.element((0,) * r, img.torsion))
+    images = [g.element(col, w.scale(x).torsion) for col, x in zip(cols, first_row)]
+    images += [g.element((0,) * r, img.torsion) for img in psi.images]
     return GroupHom(g, g, tuple(images))
 
 

@@ -23,8 +23,9 @@ automorphism tuples:
 * Reduction to orbits.  (x) alpha_i(u_i) depends on alpha_i only through
   v_i = alpha_i(u_i), and v_i runs over the whole orbit Orb(u_i) as alpha_i
   runs over Aut(BF_i), independently for each i.  So the reachable tensors
-  are those of the tuples in Orb(u_1) x ... x Orb(u_n), and
-  ``aut_orbit_witness`` turns each v_i of a hit back into an alpha_i.
+  are those of the tuples in Orb(u_1) x ... x Orb(u_n).  The orbit witness
+  turns each v_i of a hit back into an alpha_i, and
+  ``_verify_product_witness`` checks it once, with the rest of the criterion.
 * The prune is sound.  Tensor products are functorial, so (alpha_i) gives
   the automorphism (x) alpha_i of T carrying (x) u_i to (x) alpha_i(u_i).
   If (x) u'_sigma(i) is not in the Aut(T)-orbit of (x) u_i (the closed-form
@@ -57,8 +58,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .automorphisms import (DEFAULT_CANDIDATE_BOUND, _orbit_elements,
-                            aut_orbit_equivalent, aut_orbit_witness)
+from .automorphisms import (DEFAULT_CANDIDATE_BOUND, _orbit_decision,
+                            _orbit_elements, aut_orbit_equivalent,
+                            aut_orbit_witness)
 from .errors import BoundExceeded, InternalError
 from .fggroup import FgElement, GroupHom, tensor
 from .sft import SftMatrix, invariants
@@ -176,7 +178,8 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
         if rhs.torsion not in layers[-1]:
             continue
         images = _walk_back(layers, rhs.torsion)
-        homs = tuple(aut_orbit_witness(g, u, g.element((), v))
+        # unchecked here: _verify_product_witness checks each hom once
+        homs = tuple(_orbit_decision(g, u, g.element((), v), want_witness=True)
                      for g, u, v in zip(groups, units_a, images))
         witness = ProductWitness(sigma, homs)
         _verify_product_witness(witness, data_a, data_b, tensor_elem)

@@ -176,11 +176,12 @@ def _cmd_classify(args):
         return ({"isomorphic": False, "reason": verdict.reason, "witness": None},
                 [f"not isomorphic: {verdict.reason}"], False)
     w = verdict.witness
+    identity = w.is_identity()
     payload = {"isomorphic": True, "reason": None,
                "witness": {"sigma": list(w.sigma),
                            "homs": [[_elem_json(img) for img in h.images] for h in w.homs],
-                           "identity": w.is_identity()}}
-    text = "isomorphic (identity witness)" if w.is_identity() else \
+                           "identity": identity}}
+    text = "isomorphic (identity witness)" if identity else \
         f"isomorphic (witness: sigma = {w.sigma})"
     return payload, [text], True
 

@@ -52,6 +52,13 @@ rank of coker m, is left to the caller.  Every projection,
 these and the tensor map, is a ``QuotientMap``; like the tensor map, each is
 one isomorphism onto the canonical form among many, so the coordinates it
 gives an element are meaningful only up to an automorphism.
+
+Generation.  ``_onto`` is the one test of whether given elements generate
+a group (+) Z/d_i, d_1 | ... | d_r with the zeros of Z at the end: Euclid's
+column operations, one row at a time from the top factor down, with no
+Smith form.  ``_certify`` runs it on the cokernel rows, and
+``GroupHom.is_surjective`` on the images of the generators, read with the
+torsion coordinates first.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalError
-from .intmatrix import (FractionFreeLU, IntMatrix, ModularSnf, _eliminate,
+from .intmatrix import (FractionFreeLU, IntMatrix, ModularSnf,
                         smith_form_mod_det, smith_normal_form)
 
 
@@ -312,22 +319,13 @@ class GroupHom:
         return self.domain == self.codomain and self.is_surjective()
 
     def is_surjective(self) -> bool:
+        """Whether the images generate the codomain (``_onto``): one row per
+        codomain coordinate, torsion first and then free, so the orders form
+        a divisibility chain ending in the zeros of Z."""
         cod = self.codomain
-        if cod.num_generators == 0:
-            return True
-        # images generate iff Z^g / (image cols + relation cols) is trivial
-        rel = [0] * cod.free_rank + list(cod.torsion)
-        cols = []
-        for img in self.images:
-            cols.append(list(img.coords()))
-        for i, d in enumerate(rel):
-            if d:
-                col = [0] * cod.num_generators
-                col[i] = d
-                cols.append(col)
-        m = IntMatrix.from_rows([[col[i] for col in cols] for i in range(cod.num_generators)])
-        diag = _eliminate(m, 0)[0]  # the diagonal alone: no transform is read
-        return len(diag) == m.rows and all(d == 1 for d in diag)
+        cols = [img.torsion + img.free for img in self.images]
+        rows = [[col[i] for col in cols] for i in range(cod.num_generators)]
+        return _onto(rows, cod.torsion + (0,) * cod.free_rank)
 
     @classmethod
     def identity(cls, g: FgGroup) -> "GroupHom":
@@ -548,36 +546,39 @@ def _certify(m: IntMatrix, red: ModularSnf, mod: int) -> None:
 
 def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
     """Whether x -> (row_i x mod d_i)_i maps Z^n onto (+) Z/d_i, for a
-    divisibility chain d_1 | ... | d_r.
+    divisibility chain d_1 | ... | d_r that may end in zeros, Z/0 = Z.
 
     Rows go from the last up; at row t every remaining d_i divides d_t, so
-    the remaining sum G_t is a Z/d_t-module, generated by the columns.
-    They reach all of Z/d_t only if their row-t entries have gcd 1 with
-    d_t.  Then Euclid's column operations, which keep the subgroup the
-    columns generate, leave one column c with a unit e modulo d_t in row t
-    and 0 there in the others.  (y, y_t) - y_t e^-1 c has row t zero, and
-    k c with row t zero has d_t | k, so k c = 0: G_t / <c> is G_t-1, and
-    the columns generate G_t iff the others generate G_t-1.  On the first
-    row the gcd decides.
+    the remaining sum G_t is a Z/d_t-module (for d_t = 0, a Z-module),
+    generated by the columns.  They reach all of Z/d_t only if their row-t
+    entries have gcd 1 with d_t.  Then Euclid's column operations, which
+    keep the subgroup the columns generate, leave one column c with a unit
+    e modulo d_t in row t and 0 there in the others (for d_t = 0, e = +-1;
+    rows of Z are never reduced).  (y, y_t) - y_t e^-1 c has row t zero,
+    and k c with row t zero has d_t | k, so k c = 0 (for d_t = 0, k e = 0
+    forces k = 0): G_t / <c> is G_t-1, and the columns generate G_t iff
+    the others generate G_t-1.  On the first row the gcd decides.
     """
     rows = [list(row) for row in rows]
     for t in reversed(range(1, len(rows))):
         d = factors[t]
-        top = rows[t] = [x % d for x in rows[t]]
+        top = rows[t] = [x % d for x in rows[t]] if d else rows[t]
         if gcd(d, *top) != 1:
             return False
         while len(live := [j for j, x in enumerate(top) if x]) > 1:
             # column j -= q_j column p: one pass from a unit pivot, else a
-            # Euclidean step from the least entry
-            p = next((j for j in live if gcd(top[j], d) == 1), None)
+            # Euclidean step from the entry of least absolute value, which
+            # over Z is also the pass from a pivot +-1
+            p = next((j for j in live if d and gcd(top[j], d) == 1), None)
             if p is None:
-                p = min(live, key=top.__getitem__)
+                p = min(live, key=lambda j: abs(top[j]))
                 qs = [x // top[p] for x in top]
             else:
                 inv = pow(top[p], -1, d)
                 qs = [x * inv % d for x in top]
             qs[p] = 0
-            rows[:t + 1] = [[(x - q * row[p]) % f for x, q in zip(row, qs)]
+            rows[:t + 1] = [[(x - q * row[p]) % f if f else x - q * row[p]
+                             for x, q in zip(row, qs)]
                             for row, f in zip(rows[:t + 1], factors)]
             top = rows[t]
         for row in rows[:t]:

@@ -23,8 +23,10 @@ from groupoid_invariants.automorphisms import (_orbit_elements,
                                                aut_orbit_witness,
                                                enumerate_automorphisms,
                                                torsion_orbit)
-from groupoid_invariants.errors import BoundExceeded
+from groupoid_invariants import automorphisms
+from groupoid_invariants.errors import BoundExceeded, InternalError
 from groupoid_invariants.fggroup import FgGroup, _coprime_base
+from groupoid_invariants.intmatrix import IntMatrix, SnfResult
 from orbit_oracle import bfs_orbit_equivalent, brute_torsion_orbit, elements, factorint
 
 
@@ -282,6 +284,21 @@ def test_witness_maps_a_to_b():
             assert (w is not None) == aut_orbit_equivalent(group, a, b)
             if w is not None:
                 assert w(a) == b and w.is_isomorphism()
+
+
+def test_a_free_part_transform_that_is_not_unimodular_is_an_internal_error(monkeypatch):
+    group = FgGroup.from_orders([0, 0, 4])
+    a, b = group.element((2, 4), (1,)), group.element((-2, 6), (1,))
+    assert aut_orbit_witness(group, a, b)(a) == b
+    snf = automorphisms.smith_normal_form
+
+    def doubled(m):
+        # a corrupted left transform, of determinant +-2
+        res = snf(m)
+        return SnfResult(res.u @ IntMatrix.diagonal([1] * (m.rows - 1) + [2]), res.s, res.v)
+    monkeypatch.setattr(automorphisms, "smith_normal_form", doubled)
+    with pytest.raises(InternalError, match="determinant"):
+        aut_orbit_witness(group, a, b)
 
 
 def random_element(rng, group, free_range=4):

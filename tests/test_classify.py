@@ -185,6 +185,20 @@ def test_positive_sft_verdict_checks_surjectivity_once(monkeypatch):
     assert len(calls) == 1  # the one inside aut_orbit_witness
 
 
+def test_positive_product_verdict_checks_each_witness_hom_once(monkeypatch):
+    # units (1, 1) against (1, 0) in (Z/2)^2 on every factor: the identity
+    # tuple misses, so the verdict comes from the orbit layers
+    a, b = validate([[1, 2], [2, 1]]), validate([[1, 2], [2, 3]])
+    invariants(a), invariants(b)
+    calls = []
+    surjective = GroupHom.is_surjective
+    monkeypatch.setattr(GroupHom, "is_surjective",
+                        lambda h: calls.append(h) or surjective(h))
+    v = product_isomorphic([a, a, a], [b, b, b])
+    assert v.isomorphic and not v.witness.is_identity()
+    assert len(calls) == 3  # one per hom, inside _verify_product_witness
+
+
 def _fold(groups):
     """The left tensor fold of elements of the given groups."""
     acc, maps = groups[0], []

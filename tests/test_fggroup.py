@@ -10,7 +10,7 @@ from conftest import random_factor_list
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.fggroup import (FgElement, FgGroup, GroupHom, canonical_orders,
                                          cokernel, direct_sum, kernel_group, tensor, tor)
-from groupoid_invariants.intmatrix import IntMatrix
+from groupoid_invariants.intmatrix import IntMatrix, _eliminate
 from groupoid_invariants.sft import invariants
 from homology_oracle import is_quotient
 
@@ -320,3 +320,53 @@ def test_wide_semiprime_orders_do_not_hang():
     assert elapsed < 1.0
     assert g == FgGroup(0, (q, p * q * r)) and h == FgGroup(0, (p * r, p * q * r))
     assert total == FgGroup(0, (p * q * r,) * 3)
+
+
+def _eliminated_onto(hom):
+    """The reference for GroupHom.is_surjective: the images generate iff
+    Z^g / (image columns + relation columns) is trivial, that is, iff the
+    diagonal of ``_eliminate`` over Z is g ones."""
+    cod = hom.codomain
+    g, r = cod.num_generators, cod.free_rank
+    cols = [list(img.coords()) for img in hom.images]
+    cols += [[d * (i == r + k) for i in range(g)] for k, d in enumerate(cod.torsion)]
+    if not cols:
+        return g == 0
+    diag = _eliminate(IntMatrix.from_rows([[c[i] for c in cols] for i in range(g)]), 0)[0]
+    return len(diag) == g and all(d == 1 for d in diag)
+
+
+def _free_coordinate(rng):
+    # mostly small, sometimes negative and large
+    return rng.choice((rng.randint(-3, 3), rng.randint(-3, 3),
+                       rng.randint(-10 ** 6, 10 ** 6), rng.choice((-1, 1)) * 2 ** 61 + 1))
+
+
+def test_is_surjective_agrees_with_the_eliminated_reference():
+    rng = random.Random(1512)
+    torsions = [(), (), (2,), (6,), (2, 2), (2, 12), (3, 9, 27), (4, 8)]
+    seen = set()
+    for _ in range(3000):
+        r = rng.randint(0, 3)
+        cod = FgGroup(r, rng.choice(torsions))
+        k = rng.randint(0, cod.num_generators + 2)
+        # a free domain takes any images; a torsion generator of order d
+        # takes multiples of t / gcd(d, t) in each Z/t and nothing free
+        dom = FgGroup.from_orders(rng.choice((0, 0, 2, 3, 4)) for _ in range(k))
+        images = [cod.element([_free_coordinate(rng) for _ in range(r)],
+                              [rng.randrange(t) for t in cod.torsion])
+                  for _ in range(dom.free_rank)]
+        images += [cod.element((0,) * r, [t // gcd(d, t) * rng.randrange(t)
+                                          for t in cod.torsion])
+                   for d in dom.torsion]
+        hom = GroupHom(dom, cod, tuple(images))
+        onto = hom.is_surjective()
+        assert onto == _eliminated_onto(hom), hom
+        seen.add((r, bool(cod.torsion), bool(images), onto))
+    # every free rank 0-3, with and without torsion, reaches both verdicts
+    # where it can (the trivial group is always reached); empty image lists
+    # reach the trivial group and miss Z^2 (+) T
+    assert {key for key in seen if key[2]} == {(r, t, True, o) for r in range(4)
+                                               for t in (False, True) for o in (False, True)
+                                               if r or t or o}
+    assert (0, False, False, True) in seen and (2, True, False, False) in seen

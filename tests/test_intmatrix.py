@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -495,6 +495,40 @@ def test_onto_agrees_with_the_generated_subgroup():
         assert fggroup._onto(rows, factors) == onto
         verdicts.add(onto)
     assert verdicts == {True, False}
+    # chains that end in Z, where the subgroup is infinite: the columns and
+    # the relation columns d_i e_i span Z^r iff their r x r minors have gcd 1
+    rng = random.Random(1988)
+    chains = [(0,), (0, 0), (2, 0), (6, 0), (2, 0, 0), (0, 0, 0), (2, 4, 0), (3, 9, 0)]
+    verdicts = set()
+    for _ in range(600):
+        factors = rng.choice(chains)
+        n = rng.randint(0, 4)
+        rows = [[rng.choice((rng.randrange(-2 * d, 2 * d), rng.randint(-10 ** 4, 10 ** 4)))
+                 if d else rng.choice((rng.randint(-3, 3), rng.randint(-10 ** 4, 10 ** 4)))
+                 for _ in range(n)] for d in factors]
+        onto = _minors_onto(rows, factors)
+        assert fggroup._onto(rows, factors) == onto
+        verdicts.add((factors, onto))
+    assert {f for f, onto in verdicts if onto} == set(chains)
+    assert {f for f, onto in verdicts if not onto} == set(chains)
+
+
+def _minors_onto(rows, factors):
+    """Whether the columns of rows, with the relation columns d_i e_i, span
+    Z^r: the gcd of the r x r minors, the product of the Smith diagonal, is 1."""
+    r = len(rows)
+    cols = [[row[j] for row in rows] for j in range(len(rows[0]))]
+    cols += [[d * (i == k) for i in range(r)] for k, d in enumerate(factors) if d]
+    g = 0
+    for pick in combinations(cols, r):
+        g = math.gcd(g, sum(_sign(p) * math.prod(pick[p[i]][i] for i in range(r))
+                       for p in permutations(range(r))))
+    return g == 1
+
+
+def _sign(p):
+    """The sign of a permutation, by counting inversions."""
+    return (-1) ** sum(a > b for a, b in combinations(p, 2))
 
 
 def test_a_certificate_row_that_does_not_annihilate_is_an_internal_error(monkeypatch):
