@@ -47,7 +47,7 @@ from itertools import product as iproduct
 from math import gcd
 from typing import Sequence
 
-from .fggroup import FgGroup, direct_sum, tensor
+from .fggroup import FgGroup, direct_sum, tensor_fold
 from .sft import SftInvariants, SftMatrix, invariants
 
 
@@ -85,14 +85,9 @@ def _extension_data(invs: Sequence[SftInvariants],
     """The closed form for factors with the given (K_1, BF) groups, over
     the tuples of ``orders``, a cyclic decomposition of each BF (0 = Z)."""
     n = len(invs)
-    split_parts = []
-    for j in range(n):
-        chain = invs[j].k1
-        for d in range(n):
-            if d != j:
-                chain = tensor(chain, invs[d].bf)[0]
-        split_parts.append(chain)
-    split_part = direct_sum(*split_parts)
+    split_part = direct_sum(*(
+        tensor_fold([invs[j].k1] + [v.bf for d, v in enumerate(invs) if d != j])[0]
+        for j in range(n)))
 
     kernel_index = []
     tp_summands: dict[tuple[int, tuple[int, ...]], int] = {}

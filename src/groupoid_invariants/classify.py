@@ -34,12 +34,13 @@ automorphism tuples:
   s (x) v over s in S_(k-1) and v in Orb(u_k), the left fold makes the
   tensor of v_1, ..., v_k a function of the tensor of v_1, ..., v_(k-1) and
   of v_k alone.  So S_k is exactly the set of tensors of tuples in the first
-  k orbits, however many tuples share a value, and one back-pointer per
-  value recovers a tuple.  |S_k| is at most the order of the first k
-  factors' tensor product.
+  k orbits, however many tuples share a value.  Each value keeps the first
+  tuple (v_1, ..., v_k) that reached it, the tuple of its S_(k-1) value
+  extended by v_k, so only the last layer is kept.  |S_k| is at most the
+  order of the first k factors' tensor product.
 
-The identity tuple is tried first, since it settles most positives; the
-layers are built once per call and serve every permutation.  Each orbit
+The identity tuple is tried first, since it settles most positives; S_n is
+built once per call and serves every permutation.  Each orbit
 is listed as ``torsion_orbit`` lists it, from its structure, at a cost that
 grows with a box around the orbit and not with |BF_i|, so the one bound is
 ``candidate_bound``: it caps the tensor products the search evaluates, the
@@ -62,7 +63,7 @@ from .automorphisms import (DEFAULT_CANDIDATE_BOUND, _orbit_decision,
                             _orbit_elements, aut_orbit_equivalent,
                             aut_orbit_witness)
 from .errors import BoundExceeded, InternalError
-from .fggroup import FgElement, GroupHom, tensor
+from .fggroup import GroupHom, fold_elements, tensor_fold
 from .sft import SftMatrix, invariants
 
 
@@ -149,40 +150,29 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
     groups = [inv.bf for inv in data_a]
     units_a = [inv.unit for inv in data_a]
     # one tensor-fold of the canonical groups serves every permutation
-    maps = []
-    acc = groups[0]
-    for g in groups[1:]:
-        acc, tmap = tensor(acc, g)
-        maps.append(tmap)
-
-    def tensor_elem(elems: list[FgElement]) -> FgElement:
-        out = elems[0]
-        for tmap, e in zip(maps, elems[1:]):
-            out = tmap(out, e)
-        return out
-
-    lhs = tensor_elem(units_a)
-    layers = None
+    acc, maps = tensor_fold(groups)
+    lhs = fold_elements(maps, units_a)
+    reachable = None
     for sigma in itertools.permutations(range(n)):
         if any(key(data_a[i]) != key(data_b[s]) for i, s in enumerate(sigma)):
             continue
-        rhs = tensor_elem([data_b[s].unit for s in sigma])
+        rhs = fold_elements(maps, [data_b[s].unit for s in sigma])
         # identity tuple first: catches the common witness immediately
         if lhs == rhs:
             homs = tuple(GroupHom.identity(g) for g in groups)
             return ClassificationVerdict(True, ProductWitness(sigma, homs), None)
         if not aut_orbit_equivalent(acc, lhs, rhs):
             continue
-        if layers is None:
-            layers = _orbit_layers(groups, units_a, maps, candidate_bound)
-        if rhs.torsion not in layers[-1]:
+        if reachable is None:
+            reachable = _reachable(groups, units_a, maps, candidate_bound)
+        images = reachable.get(rhs.torsion)
+        if images is None:
             continue
-        images = _walk_back(layers, rhs.torsion)
         # unchecked here: _verify_product_witness checks each hom once
         homs = tuple(_orbit_decision(g, u, g.element((), v), want_witness=True)
                      for g, u, v in zip(groups, units_a, images))
         witness = ProductWitness(sigma, homs)
-        _verify_product_witness(witness, data_a, data_b, tensor_elem)
+        _verify_product_witness(witness, data_a, data_b, maps)
         return ClassificationVerdict(True, witness, None)
     return ClassificationVerdict(
         False, None,
@@ -190,10 +180,10 @@ def product_isomorphic(factors_a: list[SftMatrix], factors_b: list[SftMatrix],
         "tuple carrying the tensor of unit classes to the tensor of unit classes")
 
 
-def _orbit_layers(groups, units, maps, candidate_bound):
-    """The layers S_1, ..., S_n of the module docstring, each a dict from the
-    torsion coordinates of a value to one (previous value, orbit element)
-    pair that reaches it; S_1 maps each orbit element to (None, itself).
+def _reachable(groups, units, maps, candidate_bound):
+    """The last layer S_n of the module docstring: a dict from the torsion
+    coordinates of each value to the first tuple (v_1, ..., v_n) of orbit
+    elements that reached it.
 
     Orb(u_1) and Orb(u_2) are listed in step, one element of each in turn,
     and Orb(u_k) for k > 2 only once S_(k-1) is built.  Each listing stops as
@@ -206,24 +196,25 @@ def _orbit_layers(groups, units, maps, candidate_bound):
             if v is not None:
                 orbit.append(v)
                 _check_work(len(first) * len(second), 2, candidate_bound)
-    layers = [{v: (None, v) for v in first}]
-    layers.append(_next_layer(layers[0], second, maps[0]))
+    layer = _next_layer({v: (v,) for v in first}, second, maps[0])
     work = len(first) * len(second)
     for k, (tmap, g, u) in enumerate(zip(maps[1:], groups[2:], units[2:]), start=3):
         orbit = []
         for v in _orbit_elements(g, u):
             orbit.append(v)
-            _check_work(work + len(layers[-1]) * len(orbit), k, candidate_bound)
-        work += len(layers[-1]) * len(orbit)
-        layers.append(_next_layer(layers[-1], orbit, tmap))
-    return layers
+            _check_work(work + len(layer) * len(orbit), k, candidate_bound)
+        work += len(layer) * len(orbit)
+        layer = _next_layer(layer, orbit, tmap)
+    return layer
 
 
 def _next_layer(layer, orbit, tmap):
     nxt = {}
-    for s in layer:
+    for s, images in layer.items():
         for v in orbit:
-            nxt.setdefault(tmap.coords(s, v), (s, v))
+            t = tmap.coords(s, v)
+            if t not in nxt:
+                nxt[t] = images + (v,)
     return nxt
 
 
@@ -235,17 +226,9 @@ def _check_work(reached, k, candidate_bound):
             "and (BF, det) multisets match)")
 
 
-def _walk_back(layers, value):
-    """Orbit elements v_1, ..., v_n whose tensor is the given last-layer value."""
-    images = []
-    for layer in reversed(layers):
-        value, v = layer[value]
-        images.append(v)
-    return images[::-1]
-
-
-def _verify_product_witness(witness, data_a, data_b, tensor_elem):
-    """Re-check every clause of the product criterion on the found witness."""
+def _verify_product_witness(witness, data_a, data_b, maps):
+    """Re-check every clause of the product criterion on the found witness;
+    maps are those of the ``tensor_fold`` of the factors' BF groups."""
     n = len(witness.sigma)
     if sorted(witness.sigma) != list(range(n)):
         raise InternalError("witness sigma is not a permutation")
@@ -259,5 +242,5 @@ def _verify_product_witness(witness, data_a, data_b, tensor_elem):
             raise InternalError(f"witness hom {i} is not an isomorphism of the Bowen-Franks groups")
         imgs.append(hom(inv_a.unit))
     units_b = [data_b[s].unit for s in witness.sigma]
-    if tensor_elem(imgs) != tensor_elem(units_b):
+    if fold_elements(maps, imgs) != fold_elements(maps, units_b):
         raise InternalError("witness does not carry the unit tensor to the unit tensor")

@@ -25,19 +25,23 @@ Tensor products need no Smith normal form: g (x) h is the direct sum of the
 pieces Z_gcd(d_i, e_j), whose canonical form is the merge above.  The
 element map sends each piece's base-b part x mod b^e to the invariant factor
 it was merged into, through the CRT idempotent of b^e there; it is built
-on first use.  ``automorphisms`` decides Aut-orbits over the same kind of
-base, with the same valuations and idempotents.  The isomorphism onto the canonical form is not canonical, so
+on first use.  A product of several groups is ``tensor_fold``, the one
+fold: g_1 (x) ... (x) g_n from the left, one ``tensor`` per step, whose
+maps ``fold_elements`` applies to elements.  ``automorphisms`` decides
+Aut-orbits over the same kind of base, with the same valuations and
+idempotents.  The isomorphism onto the canonical form is not canonical, so
 element coordinates are meaningful only up to an automorphism.
 
 Cokernels of general matrices (``cokernel``) and kernels (``kernel_group``)
 use the Smith normal form: ``intmatrix``'s one diagonal elimination, run over
 Z with both transforms.  ``cokernel_and_kernel`` takes a square
-presentation m and computes D = det m by one Bareiss elimination, kept as
-a fraction-free LU.  Every path ends in one ``intmatrix.ModularSnf``, the
-factors other than 1 with the rows of the left transform that belong to
-them, and ``_projection`` reads the group and its projection off it.
+presentation m and computes D = det m = det m^t by one Bareiss
+elimination of m^t, kept as a fraction-free LU.  Every path ends in one
+``intmatrix.ModularSnf``, the factors other than 1 with the rows of the
+left transform that belong to them, and ``_projection`` reads the group and
+its projection off it.
 When D != 0 and m has at least ``_CYCLIC_MIN_SIZE`` rows, a few adjugate
-columns from the LU of m^t give a row w with w m = 0 mod N, N = |D|.  If
+columns from that LU give a row w with w m = 0 mod N, N = |D|.  If
 gcd(w, N) = 1, x -> w x mod N is an isomorphism coker m -> Z/N and no
 elimination runs.  Otherwise the columns leave g = gcd(w, N) > 1, and
 coker m splits into Z/N', read by w, N' the part of N coprime to g, and
@@ -410,17 +414,17 @@ def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
 def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, int]:
     """coker m with its projection, and D = det m, for a square m.
 
-    D comes from one fraction-free LU (``IntMatrix.fraction_free_lu``), of
-    m^t when m has at least ``_CYCLIC_MIN_SIZE`` rows, else of m.  For
-    D != 0 and that many rows, coker m comes from adjugate columns
+    D comes from one fraction-free LU (``IntMatrix.fraction_free_lu``) of
+    m^t, for every size.  For D != 0 and at least ``_CYCLIC_MIN_SIZE``
+    rows, coker m comes from adjugate columns
     (``_top_factor_first``); otherwise from the elimination modulo |D|, over
     Z when D = 0 (``smith_form_mod_det``).  Every answer for D != 0 is
     certified (``_certify``) before it is read.  ker m is free of the free
     rank of coker m, so it needs no slot here.
     """
+    # det m^t = det m
+    lu = m.transpose().fraction_free_lu()
     big = m.rows >= _CYCLIC_MIN_SIZE
-    # det m^t = det m; only the adjugate columns need the LU of m^t
-    lu = (m.transpose() if big else m).fraction_free_lu()
     red = _top_factor_first(m, lu) if big and lu.det else smith_form_mod_det(m, lu.det)
     if lu.det:
         _certify(m, red, abs(lu.det))
@@ -503,8 +507,6 @@ def _top_factor_first(m: IntMatrix, lu: FractionFreeLU) -> ModularSnf:
             return ModularSnf((mod,), IntMatrix(1, n, tuple(w)))
     coprime = _coprime_part(mod, g)
     red = smith_form_mod_det(m, mod // coprime)
-    if coprime == 1:
-        return red
     d = red.factors[-1] * coprime
     idem = _idempotent(d, coprime)  # 1 mod N', 0 mod e_k
     k = len(red.factors) - 1
@@ -636,6 +638,24 @@ def tensor(g: FgGroup, h: FgGroup) -> tuple[FgGroup, TensorMap]:
     """g (x) h, computed summand-wise, with the bilinear element map."""
     grp = FgGroup.from_orders(_piece_orders(g, h))
     return grp, TensorMap(g, h, grp)
+
+
+def tensor_fold(groups: Sequence[FgGroup]) -> tuple[FgGroup, list[TensorMap]]:
+    """g_1 (x) ... (x) g_n folded from the left, with the map of each step:
+    maps[k - 1] pairs g_1 (x) ... (x) g_k with g_(k+1)."""
+    acc, maps = groups[0], []
+    for g in groups[1:]:
+        acc, tmap = tensor(acc, g)
+        maps.append(tmap)
+    return acc, maps
+
+
+def fold_elements(maps: Sequence[TensorMap], elems: Sequence[FgElement]) -> FgElement:
+    """a_1 (x) ... (x) a_n in the group of ``tensor_fold``, over its maps."""
+    out = elems[0]
+    for tmap, e in zip(maps, elems[1:]):
+        out = tmap(out, e)
+    return out
 
 
 def tor(g: FgGroup, h: FgGroup) -> FgGroup:

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .fggroup import FgElement, FgGroup, direct_sum, tensor, tor
+from .fggroup import (FgElement, FgGroup, direct_sum, fold_elements, tensor,
+                      tensor_fold, tor)
 from .sft import SftMatrix, invariants
 
 
@@ -77,16 +78,14 @@ def product_homology(factors: list[SftMatrix]) -> GradedGroups:
         raise ValueError("need at least one factor")
     invs = [invariants(f) for f in factors]
     n = len(factors)
-    h0, unit = invs[0].bf, invs[0].unit
-    for v in invs[1:]:
-        h0, tmap = tensor(h0, v.bf)
-        unit = tmap(unit, v.unit)
+    h0, maps = tensor_fold([v.bf for v in invs])
+    unit = fold_elements(maps, [v.unit for v in invs])
     # each H_1 is free, and Z^a (x) Z^b = Z^(a b)
     h1 = FgGroup.free(prod(v.k1.free_rank for v in invs))
     out: dict[int, FgGroup] = {}
     for k in range(n + 1):
         parts = [h0] * comb(n - 1, k) + [h1] * (comb(n - 1, k - 1) if k >= 1 else 0)
-        out[k] = direct_sum(*parts) if parts else FgGroup.trivial()
+        out[k] = direct_sum(*parts)
     return GradedGroups(out, unit)
 
 

@@ -183,6 +183,19 @@ def test_torsion_orbit_keeps_non_unit_multiples_of_a_composite_base():
     assert any(y[0] % 9 == 3 for y in orbit)
 
 
+def test_torsion_orbit_refines_the_base_by_each_box_element():
+    # the coprime base of Z/36 and x = 6 alone is {6}, under which 6 and 12
+    # both have valuation 1, yet 12 has order 3: a base computed once per
+    # orbit would merge them, so each box element's gcds must refine it
+    for orders, x, orbit in (([36], (6,), {(6,), (30,)}),
+                             ([6, 36], (0, 6), {(0, 6), (0, 30)})):
+        group = FgGroup.from_orders(orders)
+        a = group.element((), x)
+        assert _coprime_base([*group.torsion, *x]) == [6]
+        assert torsion_orbit(group, a) == brute_torsion_orbit(group, a) == orbit
+        assert {y.torsion for y in elements(group) if bfs_orbit_equivalent(group, a, y)} == orbit
+
+
 def test_torsion_orbit_costs_the_orbit_not_the_group():
     # |T| = 80000; the orbit of (0, 0, 5000) is (0, 0, +-5000)
     group = FgGroup.from_orders([2, 2, 20000])

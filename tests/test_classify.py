@@ -15,7 +15,7 @@ from groupoid_invariants.classify import (ProductWitness,
                                           _verify_product_witness,
                                           product_isomorphic, sft_isomorphic,
                                           sft_morita)
-from groupoid_invariants.fggroup import GroupHom, tensor
+from groupoid_invariants.fggroup import GroupHom, tensor, tensor_fold
 from groupoid_invariants.intmatrix import IntMatrix
 from groupoid_invariants.sft import (companion_matrix, invariants,
                                      thompson_factor_list, validate)
@@ -153,13 +153,8 @@ def test_corrupted_product_witness_is_rejected():
     fb = [companion_matrix(5, 1), companion_matrix(5, 1)]
     witness = product_isomorphic(fa, fb).witness
     data_a, data_b = _checked_invariants(fa), _checked_invariants(fb)
-    groups = [inv.bf for inv in data_a]
-    _, tmap = tensor(groups[0], groups[1])
-
-    def fold(elems):
-        return tmap(elems[0], elems[1])
-
-    _verify_product_witness(witness, data_a, data_b, fold)
+    _, maps = tensor_fold([inv.bf for inv in data_a])
+    _verify_product_witness(witness, data_a, data_b, maps)
     g = witness.homs[0].domain
     zero = GroupHom(g, g, tuple(g.zero() for _ in range(g.num_generators)))
     doubled = GroupHom(g, g, tuple(img.scale(2) for img in witness.homs[0].images))
@@ -170,7 +165,7 @@ def test_corrupted_product_witness_is_rejected():
                 ProductWitness(witness.sigma, (doubled,) + witness.homs[1:]),
                 ProductWitness(witness.sigma, (tripled,) + witness.homs[1:])):
         with pytest.raises(InternalError):
-            _verify_product_witness(bad, data_a, data_b, fold)
+            _verify_product_witness(bad, data_a, data_b, maps)
 
 
 def test_positive_sft_verdict_checks_surjectivity_once(monkeypatch):
@@ -187,7 +182,7 @@ def test_positive_sft_verdict_checks_surjectivity_once(monkeypatch):
 
 def test_positive_product_verdict_checks_each_witness_hom_once(monkeypatch):
     # units (1, 1) against (1, 0) in (Z/2)^2 on every factor: the identity
-    # tuple misses, so the verdict comes from the orbit layers
+    # tuple misses, so the verdict comes from the reachable set
     a, b = validate([[1, 2], [2, 1]]), validate([[1, 2], [2, 3]])
     invariants(a), invariants(b)
     calls = []
@@ -225,8 +220,8 @@ def _checked_invariants(factors):
 
 def _check_witness(fa, fb, witness):
     data_a, data_b = _checked_invariants(fa), _checked_invariants(fb)
-    _, fold = _fold([inv.bf for inv in data_a])
-    _verify_product_witness(witness, data_a, data_b, fold)
+    _, maps = tensor_fold([inv.bf for inv in data_a])
+    _verify_product_witness(witness, data_a, data_b, maps)
 
 
 def _passes_prune(fa, fb) -> bool:

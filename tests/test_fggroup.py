@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from math import gcd
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_factor_list
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.fggroup import (FgElement, FgGroup, GroupHom, canonical_orders,
-                                         cokernel, direct_sum, kernel_group, tensor, tor)
+                                         cokernel, direct_sum, fold_elements, kernel_group,
+                                         tensor, tensor_fold, tor)
 from groupoid_invariants.intmatrix import IntMatrix, _eliminate
 from groupoid_invariants.sft import invariants
 from homology_oracle import is_quotient
@@ -150,6 +152,26 @@ def test_tensor_of_generators_generates():
     assert prod == FgGroup.cyclic(2)
     e = tmap(g.element((), (1,)), h.element((), (1,)))
     assert e.order() == 2
+
+
+def test_tensor_fold_is_the_gcd_of_every_order_tuple():
+    # Z/a (x) Z/b = Z/gcd(a, b), 0 = Z: the fold is the sum of the cyclic
+    # groups of order gcd(a_1, ..., a_n) over all tuples of orders
+    g = FgGroup.from_orders([4, 0])
+    assert tensor_fold([g]) == (g, [])
+    a = g.element((-2,), (3,))
+    assert fold_elements([], [a]) == a
+    rng = random.Random(35)
+    for _ in range(300):
+        groups = [FgGroup.from_orders(rng.choice((0, 1, 2, 3, 4, 6, 8, 9, 12))
+                                      for _ in range(rng.randint(1, 3)))
+                  for _ in range(rng.randint(1, 4))]
+        folded, maps = tensor_fold(groups)
+        assert folded == FgGroup.from_orders(
+            gcd(*t) for t in itertools.product(*(h.orders() for h in groups)))
+        elems = [h.element(tuple(rng.randint(-5, 5) for _ in range(h.free_rank)),
+                           tuple(rng.randrange(d) for d in h.torsion)) for h in groups]
+        assert len(maps) == len(groups) - 1 and fold_elements(maps, elems).group == folded
 
 
 def test_direct_sum_and_quotient():

@@ -389,6 +389,10 @@ def test_split_matches_the_elimination_modulo_det(monkeypatch):
     reduce = fggroup.smith_form_mod_det
     monkeypatch.setattr(fggroup, "smith_form_mod_det",
                         lambda m, det: moduli.append(det) or reduce(m, det))
+    answers = []
+    certify = fggroup._certify
+    monkeypatch.setattr(fggroup, "_certify",
+                        lambda m, red, mod: answers.append(red) or certify(m, red, mod))
     scale = [1]
     _corrupted_solves(monkeypatch, lambda y: [scale[0] * x for x in y])
     kinds = {"cyclic": 0, "split": 0, "whole": 0, "forced": 0}
@@ -401,6 +405,7 @@ def test_split_matches_the_elimination_modulo_det(monkeypatch):
         p = next((p for p in (2, 3, 5, 7) if mod % p == 0), 1)
         for scale[0] in ((1, p) if cyclic and p > 1 else (1,)):
             moduli.clear()
+            answers.clear()
             grp, qmap, got = cokernel_and_kernel(m)
             ones = (1,) * n
             assert grp == ref_grp and got == det
@@ -414,6 +419,11 @@ def test_split_matches_the_elimination_modulo_det(monkeypatch):
             [n_g] = moduli
             assert mod % n_g == 0 and math.gcd(n_g, mod // n_g) == 1
             assert math.gcd(mod // n_g, mod // ref.factors[-1]) == 1
+            if n_g == mod:
+                # N' = 1: the CRT merge leaves the elimination's answer byte for byte
+                [red] = answers
+                assert (red.factors, red.u.rows, red.u.entries) == \
+                    (ref.factors, ref.u.rows, ref.u.entries)
             if scale[0] > 1:
                 kinds["forced"] += 1
                 assert n_g == p ** fggroup._valuation(mod, p)

@@ -1,12 +1,14 @@
 """Verdicts against moves whose effect on the groupoid is known
-(``move_oracle``): out-splits are isomorphisms, Cuntz splices are not even
-Morita equivalences."""
+(``move_oracle``): out-splits are isomorphisms, of single factors and factor
+by factor of products, and Cuntz splices are not even Morita equivalences."""
 
+import itertools
 import random
 
 from conftest import random_sft
-from groupoid_invariants import fggroup
-from groupoid_invariants.classify import sft_isomorphic, sft_morita
+from groupoid_invariants import classify, fggroup
+from groupoid_invariants.automorphisms import torsion_orbit
+from groupoid_invariants.classify import product_isomorphic, sft_isomorphic, sft_morita
 from groupoid_invariants.sft import invariants, validate
 from move_oracle import cuntz_splice, mat_mul, out_split, split_matrix
 
@@ -17,6 +19,16 @@ def _small(rng):
         a = random_sft(rng, max_size=4)
         if a.size >= 2:
             return a.a.to_rows()
+
+
+def _finite(rng):
+    """The rows of a random valid SFT on 2 to 4 vertices with finite,
+    nontrivial BF."""
+    while True:
+        rows = _small(rng)
+        bf = invariants(validate(rows)).bf
+        if bf.is_finite and bf.torsion:
+            return rows
 
 
 def _split(rows, rng):
@@ -86,3 +98,41 @@ def test_cuntz_splice_keeps_bf_negates_det_and_breaks_morita():
         assert ib.bf == ia.bf and ib.det == -ia.det
         assert not sft_morita(a, b) and not sft_isomorphic(a, b).isomorphic
         done += 1
+
+
+def test_out_split_products_are_isomorphic(monkeypatch):
+    # each factor out-split and the factors shuffled: the unit classes move
+    # within their orbits, so some verdicts need the reachable set
+    searches = []
+    reachable = classify._reachable
+    monkeypatch.setattr(classify, "_reachable",
+                        lambda *args: searches.append(1) or reachable(*args))
+    rng = random.Random(1512)
+    searched = 0
+    for _ in range(300):
+        rows = [_finite(rng) for _ in range(rng.randint(2, 4))]
+        split = [_split(r, rng) for r in rows]
+        rng.shuffle(split)
+        before = len(searches)
+        v = product_isomorphic([validate(r) for r in rows], [validate(r) for r in split])
+        assert v.isomorphic, (rows, split, v.reason)
+        if len(searches) > before and not all(h.is_identity() for h in v.witness.homs):
+            searched += 1
+            _assert_least_reaching_tuple(rows, split, v.witness)
+    assert searched >= 10
+
+
+def _assert_least_reaching_tuple(rows_a, rows_b, witness):
+    """The witness carries the unit classes to the least tuple of orbit
+    elements, in the order the orbits are listed, whose tensor is the
+    target: the first tuple that reached it in the reachable set."""
+    ia = [invariants(validate(r)) for r in rows_a]
+    ib = [invariants(validate(r)) for r in rows_b]
+    groups = [inv.bf for inv in ia]
+    _, maps = fggroup.tensor_fold(groups)
+    target = fggroup.fold_elements(maps, [ib[s].unit for s in witness.sigma])
+    orbits = [sorted(torsion_orbit(g, inv.unit)) for g, inv in zip(groups, ia)]
+    least = next(t for t in itertools.product(*orbits)
+                 if fggroup.fold_elements(maps, [g.element((), x)
+                                                 for g, x in zip(groups, t)]) == target)
+    assert tuple(h(inv.unit).torsion for h, inv in zip(witness.homs, ia)) == least
