@@ -34,6 +34,11 @@ The class is thus block diagonal over tuples: each nonsplit block glues its
 Z/2 onto T_p*(i) = Z/g as Z/(2 g), every other block contributes its
 summands split.
 
+The split part is the same kind of closed form.  Its summand for j is
+K_1(j) (x) (x)_{d != j} BF(d), and a tensor product of cyclic groups is
+cyclic of the gcd of the orders, so the split part is one merge of gcd(t)
+over the order tuples t of K_1(j) and the BF(d), d != j, for every j.
+
 The public functions take each factor's cyclic orders from its Bowen-Franks
 group, ``FgGroup.orders()``: the invariant factors, after a zero for each Z.
 The closed form holds for any cyclic decompositions, and the tests feed
@@ -47,7 +52,7 @@ from itertools import product as iproduct
 from math import gcd
 from typing import Sequence
 
-from .fggroup import FgGroup, direct_sum, tensor_fold
+from .fggroup import FgGroup
 from .sft import SftInvariants, SftMatrix, invariants
 
 
@@ -85,9 +90,10 @@ def _extension_data(invs: Sequence[SftInvariants],
     """The closed form for factors with the given (K_1, BF) groups, over
     the tuples of ``orders``, a cyclic decomposition of each BF (0 = Z)."""
     n = len(invs)
-    split_part = direct_sum(*(
-        tensor_fold([invs[j].k1] + [v.bf for d, v in enumerate(invs) if d != j])[0]
-        for j in range(n)))
+    split_part = FgGroup.from_orders(
+        gcd(*t) for j in range(n)
+        for t in iproduct(invs[j].k1.orders(),
+                          *(v.bf.orders() for d, v in enumerate(invs) if d != j)))
 
     kernel_index = []
     tp_summands: dict[tuple[int, tuple[int, ...]], int] = {}

@@ -10,16 +10,20 @@ Throughout, a cyclic order of 0 encodes Z (the "Z_0 = Z" convention) and
 orders of 1 are trivial summands that get dropped.  0 is the identity of
 ``math.gcd``, so Z_a (x) Z_b = Z_gcd(a, b) holds with Z among the factors.
 
-Canonical form over a coprime base.  The nonzero orders are refined by gcd
-splitting into a pairwise coprime base (Bernstein, "Factoring into coprimes
-in essentially linear time", J. Algorithms 2005, gives the fast version;
-this is the plain splitting loop).  Nothing is factored, so orders with
-large prime factors cost no more than small ones.  Each order n is a product
-of base powers b^e(n), and Z/n splits by CRT into the Z/b^e(n).  Sorting each
-base element's exponents in descending order, the r-th largest entries of
-all columns multiply to the r-th largest invariant factor.
-``canonical_orders``, and through it ``from_orders``, ``direct_sum`` and
-``tor``, is that merge.
+Canonical form over a coprime base.  The distinct nonzero orders are
+refined by gcd splitting into a pairwise coprime base (Bernstein, "Factoring
+into coprimes in essentially linear time", J. Algorithms 2005, gives the
+fast version; this is the plain splitting loop).  Nothing is factored, so
+orders with large prime factors cost no more than small ones.  Each order n
+is a product of base powers b^e(n), and Z/n splits by CRT into the
+Z/b^e(n).  Sorting each base element's exponents in descending order, the
+r-th largest entries of all columns multiply to the r-th largest invariant
+factor.  ``canonical_orders``, and through it ``from_orders``,
+``direct_sum`` and ``tor``, is that merge.  It counts equal orders and keeps
+each column as (exponent, multiplicity) runs; the invariant factor is
+constant between run ends, so its Python work grows with the distinct orders
+and the runs, not with the length of the list.  The tensor element map
+below keeps one column entry per slot, since it sends each slot somewhere.
 
 Tensor products need no Smith normal form: g (x) h is the direct sum of the
 pieces Z_gcd(d_i, e_j), whose canonical form is the merge above.  The
@@ -67,10 +71,12 @@ torsion coordinates first.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product, starmap
 from math import gcd, prod
-from operator import index, mul
+from operator import index, mod, mul
 from typing import Iterable, Sequence
 
 from .errors import InternalError
@@ -135,18 +141,52 @@ def _coprime_columns(vals: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
 def canonical_orders(orders: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Turn a list of cyclic orders (0 = Z) into (free_rank, invariant factors).
 
-    Refines the nonzero orders into a coprime base and merges the sorted
-    exponent columns (see the module docstring).
+    Refines the distinct nonzero orders into a coprime base and merges the
+    exponent columns, kept as (exponent, multiplicity) runs (see the module
+    docstring).
     """
-    vals = [abs(index(o)) for o in orders]
-    columns = _coprime_columns(vals)
+    counts = Counter(map(abs, map(index, orders)))
+    free = counts.pop(0, 0)
+    counts.pop(1, None)
+    if not counts:
+        return free, ()
+    base = _coprime_base(counts)
+    if len(base) == 1:
+        # powers of one base element: the sorted orders are the chain
+        return free, _expand((v, counts[v]) for v in sorted(counts))
+    # each base element's exponents as descending runs, entered as the rank
+    # at which a run ends and the power of b from there on
+    power = {}
+    events = []
+    for b in base:
+        col: dict[int, int] = {}
+        for v, m in counts.items():
+            if e := _valuation(v, b):
+                col[e] = col.get(e, 0) + m
+        runs = sorted(col.items(), reverse=True)
+        power[b] = b ** runs[0][0]
+        end = 0
+        for (_, m), (e, _) in zip(runs, runs[1:] + [(0, 0)]):
+            end += m
+            events.append((end, b, b ** e))
     # the r-th largest exponents of all base elements multiply to the r-th
-    # largest invariant factor
-    factors = [1] * max((len(col) for col in columns.values()), default=0)
-    for b, col in columns.items():
-        for r, (e, _) in enumerate(col):
-            factors[r] *= b ** e
-    return vals.count(0), tuple(reversed(factors))
+    # largest invariant factor, which is constant between run ends
+    segments = []
+    start = 0
+    for end, b, p in sorted(events):
+        if end > start:
+            segments.append((prod(power.values()), end - start))
+            start = end
+        power[b] = p
+    return free, _expand(reversed(segments))
+
+
+def _expand(runs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The tuple with each (value, length) run written out in turn."""
+    out: list[int] = []
+    for v, m in runs:
+        out += [v] * m
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -170,11 +210,11 @@ class FgGroup:
                              f"{self.free_rank!r} and {self.torsion!r}") from None
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-        if any(d < 2 for d in self.torsion):
+        torsion = self.torsion
+        if torsion and min(torsion) < 2:
             raise ValueError("invariant factors must be >= 2")
+        if any(map(mod, torsion[1:], torsion)):
+            raise ValueError("invariant factors must form a divisibility chain")
 
     @classmethod
     def from_orders(cls, orders: Iterable[int]) -> "FgGroup":
@@ -228,7 +268,7 @@ class FgGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(map("Z/{}".format, self.torsion))
         return " x ".join(parts) if parts else "0"
 
 
@@ -590,7 +630,7 @@ def _onto(rows: Sequence[Sequence[int]], factors: Sequence[int]) -> bool:
 
 def _piece_orders(g: FgGroup, h: FgGroup) -> list[int]:
     # the cyclic orders of the pieces Z_a (x) Z_b, 0 = Z included
-    return [gcd(a, b) for a in g.orders() for b in h.orders()]
+    return list(starmap(gcd, product(g.orders(), h.orders())))
 
 
 @dataclass(frozen=True)
@@ -660,7 +700,7 @@ def fold_elements(maps: Sequence[TensorMap], elems: Sequence[FgElement]) -> FgEl
 
 def tor(g: FgGroup, h: FgGroup) -> FgGroup:
     """Tor(g, h): torsion summands pair by gcd, free parts contribute nothing."""
-    return FgGroup.from_orders(gcd(a, b) for a in g.torsion for b in h.torsion)
+    return FgGroup.from_orders(starmap(gcd, product(g.torsion, h.torsion)))
 
 
 def direct_sum(*groups: FgGroup) -> FgGroup:

@@ -8,7 +8,8 @@ from homology_oracle import is_quotient
 from orbit_oracle import primary_orders
 from groupoid_invariants.abelianize import (_extension_data, extension_data,
                                             strong_ah, tfg_abelianization)
-from groupoid_invariants.fggroup import FgGroup, direct_sum, tensor
+from groupoid_invariants import fggroup
+from groupoid_invariants.fggroup import FgGroup, direct_sum, tensor, tensor_fold
 from groupoid_invariants.homology import product_homology
 from groupoid_invariants.sft import (companion_matrix, invariants,
                                      thompson_factor_list, validate)
@@ -188,3 +189,28 @@ def test_extension_data_and_group_match_the_per_position_oracle():
                 seen["Z left and right of a finite order"] += 1
     assert seen["n"] == {1, 2, 3, 4, 5}
     assert min(seen[k] for k in seen if k != "n") > 0, seen
+
+
+def test_split_part_equals_the_tensor_fold_route():
+    """The one merge over order tuples against the direct sum of the folds
+    K_1(j) (x) (x)_{d != j} BF(d)."""
+    for factors, orders in _oracle_corpus():
+        invs = [invariants(f) for f in factors]
+        want = direct_sum(*(
+            tensor_fold([invs[j].k1] + [v.bf for d, v in enumerate(invs) if d != j])[0]
+            for j in range(len(invs))))
+        assert _extension_data(invs, orders).split_part == want, orders
+
+
+def test_extension_data_merges_twice(monkeypatch):
+    """One merge for the split part and one for the group, whatever n."""
+    cases = [([invariants(f) for f in factors], orders)
+             for factors, orders in _oracle_corpus()]
+    calls = []
+    inner = fggroup.canonical_orders
+    monkeypatch.setattr(fggroup, "canonical_orders",
+                        lambda orders: calls.append(orders) or inner(orders))
+    for invs, orders in cases:
+        calls.clear()
+        _extension_data(invs, orders)
+        assert len(calls) == 2, orders

@@ -12,7 +12,7 @@ from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.fggroup import (FgElement, FgGroup, GroupHom, canonical_orders,
                                          cokernel, direct_sum, fold_elements, kernel_group,
                                          tensor, tensor_fold, tor)
-from groupoid_invariants.intmatrix import IntMatrix, _eliminate
+from groupoid_invariants.intmatrix import IntMatrix, _eliminate, smith_normal_form
 from groupoid_invariants.sft import invariants
 from homology_oracle import is_quotient
 
@@ -28,6 +28,15 @@ def test_canonicalization():
     assert FgGroup.from_orders([1, 1]).is_trivial
     with pytest.raises(ValueError):
         FgGroup(0, (4, 2))  # not a chain
+
+
+def test_factors_below_two_are_rejected_before_the_chain_test():
+    # a zero factor once reached the chain test and divided by it
+    for torsion in ((0, 4), (4, 0), (1, 2), (-2, 4), (0,)):
+        with pytest.raises(ValueError, match="must be >= 2"):
+            FgGroup(0, torsion)
+    with pytest.raises(ValueError, match="divisibility chain"):
+        FgGroup(1, (2, 4, 6))
 
 
 def test_rendering():
@@ -281,6 +290,62 @@ order_lists = st.lists(
 def test_canonical_orders_matches_fixpoint_oracle(orders):
     assert canonical_orders(orders) == oracle_canonical_orders(orders)
     assert canonical_orders(orders + orders) == oracle_canonical_orders(orders + orders)
+
+
+# orders for the differential tests: Z, trivial, coprime mixes, prime powers
+# and a 61-bit prime with multiples of it
+P61 = 2 ** 61 - 1
+MERGE_POOL = [0, 1, 2, 3, 5, 6, 10, 15, 4, 8, 9, 27, 25, 49, 30, 60, 72, 7 * 11 * 13,
+              P61, 2 * P61, 6 * P61, P61 ** 2, 4 * P61 ** 2]
+MERGE_PRIMES = (2, 3, 5, 7, 11, 13, P61)
+
+
+def _merge_lists(rng, max_len):
+    """Seeded order lists of up to max_len entries from ``MERGE_POOL``, with
+    repeats, signs, and a few fixed lists first."""
+    yield from ([], [0], [1, 1], [6, 10, 15], [6, 10, 15] * 3, [P61, 2 * P61, 4],
+                [8, 4, 2, 2, 0, 1])
+    for _ in range(60):
+        width = rng.randint(1, 6)
+        pool = rng.sample(MERGE_POOL, width)
+        yield [rng.choice(pool) * rng.choice((1, -1)) for _ in range(rng.randint(1, max_len))]
+
+
+def prime_power_merge(orders):
+    """Factor each order over ``MERGE_PRIMES`` by trial division, then give the
+    r-th largest invariant factor the r-th largest power of every prime."""
+    columns = {p: [] for p in MERGE_PRIMES}
+    free = 0
+    for o in map(abs, orders):
+        if o == 0:
+            free += 1
+            continue
+        for p in MERGE_PRIMES:
+            e = 0
+            while o % p == 0:
+                o //= p
+                e += 1
+            columns[p].append(e)
+        assert o == 1, "order outside the prime list"
+    factors = [1] * len(orders)
+    for p, col in columns.items():
+        for r, e in enumerate(sorted(col, reverse=True)):
+            factors[r] *= p ** e
+    return free, tuple(reversed([f for f in factors if f > 1]))
+
+
+def test_canonical_orders_matches_the_smith_diagonal():
+    for orders in _merge_lists(random.Random(3), 30):
+        diag = smith_normal_form(IntMatrix.diagonal(orders)).diagonal()
+        assert canonical_orders(orders) == (diag.count(0), tuple(d for d in diag if d > 1))
+
+
+def test_canonical_orders_matches_the_prime_power_merge():
+    seen = set()
+    for orders in _merge_lists(random.Random(4), 2000):
+        assert canonical_orders(orders) == prime_power_merge(orders), orders
+        seen.add(len(orders) > 1000)
+    assert seen == {False, True}
 
 
 def _random_element(rng, g):

@@ -1,10 +1,11 @@
 import random
 from functools import cache
-from math import comb
+from math import comb, prod
 
-from conftest import random_factor_list
+from conftest import random_factor_list, random_sft
+from groupoid_invariants import fggroup
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
-from groupoid_invariants.fggroup import FgGroup
+from groupoid_invariants.fggroup import FgGroup, TensorMap, direct_sum, tensor_fold
 from groupoid_invariants.homology import hk_check, product_homology, product_k_theory
 from groupoid_invariants.sft import invariants, validate
 from homology_oracle import chain_homology, graded_sum
@@ -115,3 +116,75 @@ def test_hk_examples(rng):
     assert hk_check([validate([[7]])]).holds
     for _ in range(25):
         assert hk_check(random_factor_list(rng)).holds
+
+
+def _seeded_products():
+    """The oracle corpus's products, then seeded products of 4-6 factors on at
+    most 3 vertices, every third with an infinite-BF factor put in and every
+    fourth of infinite-BF factors only."""
+    yield from (fs for fs, _, _ in _oracle_corpus())
+    rng = random.Random(17)
+    for i in range(24):
+        factors = [random_sft(rng, max_size=3) for _ in range(4 + i % 3)]
+        if i % 3 == 0:
+            factors[rng.randrange(len(factors))] = validate(rng.choice(INFINITE_BF))
+        if i % 4 == 0:
+            factors = [validate(rng.choice(INFINITE_BF)) for _ in factors]
+        yield factors
+
+
+def test_degrees_equal_the_direct_sum_of_copies():
+    """H_k read off H_0 equals the merge of C(n-1, k) copies of H_0 and
+    C(n-1, k-1) of H_1."""
+    infinite = free_h0 = 0
+    for factors in _seeded_products():
+        invs = [invariants(f) for f in factors]
+        n = len(factors)
+        h0 = tensor_fold([v.bf for v in invs])[0]
+        h1 = FgGroup.free(prod(v.k1.free_rank for v in invs))
+        h = product_homology(factors)
+        for k in range(n + 2):
+            parts = [h0] * comb(n - 1, k) + [h1] * (comb(n - 1, k - 1) if k else 0)
+            assert h.group_at(k) == direct_sum(*parts), (factors, k)
+        infinite += any(v.bf.free_rank for v in invs)
+        free_h0 += h0.free_rank > 0
+    assert infinite >= 16 and free_h0 >= 4
+
+
+def test_hk_sums_are_the_sums_of_the_homology_degrees():
+    for factors in _seeded_products():
+        h = product_homology(factors)
+        rep = hk_check(factors)
+        assert rep.h_even == direct_sum(*(g for k, g in h.items() if k % 2 == 0))
+        assert rep.h_odd == direct_sum(*(g for k, g in h.items() if k % 2))
+        assert rep.holds
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_homology_merges_once_per_fold_step(monkeypatch):
+    factors = [validate(m) for m in ([[3]], [[2, 1], [1, 2]], [[7, 6], [6, 13]], [[5]],
+                                      [[1, 3, 0], [3, 2, 1], [3, 3, 2]])]
+    for f in factors:
+        invariants(f)
+    merges = _count_calls(monkeypatch, fggroup, "canonical_orders")
+    steps = _count_calls(monkeypatch, fggroup, "tensor")
+    product_homology(factors)
+    assert len(merges) == len(steps) == len(factors) - 1
+
+
+def test_hk_check_builds_no_tensor_element_map(monkeypatch):
+    def refuse(self):
+        raise AssertionError("hk_check built a tensor element map")
+    monkeypatch.setattr(TensorMap, "qmap", property(refuse))
+    f = validate([[3, 2], [2, 3]])
+    assert hk_check([f, validate([[3]]), f, validate([[5]])]).holds
