@@ -148,17 +148,11 @@ def canonical_orders(orders: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     counts = Counter(map(abs, map(index, orders)))
     free = counts.pop(0, 0)
     counts.pop(1, None)
-    if not counts:
-        return free, ()
-    base = _coprime_base(counts)
-    if len(base) == 1:
-        # powers of one base element: the sorted orders are the chain
-        return free, _expand((v, counts[v]) for v in sorted(counts))
     # each base element's exponents as descending runs, entered as the rank
     # at which a run ends and the power of b from there on
     power = {}
     events = []
-    for b in base:
+    for b in _coprime_base(counts):
         col: dict[int, int] = {}
         for v, m in counts.items():
             if e := _valuation(v, b):

@@ -8,9 +8,10 @@ Each H_1 is free, so the second summand is free, and H_k is read off H_0:
 free rank C(n-1,k) r_0 + C(n-1,k-1) r_1, and each invariant factor of H_0
 repeated C(n-1,k) times, already a divisibility chain.  Only H_0 takes a
 merge, one per step of the tensor fold.  The unit class (the class of the
-constant function 1) is tracked through the degree-0 tensor product.  The test suite checks every degree, and the unit
-up to automorphism, against the homology of the tensor product of the
-factors' chain complexes, computed from Smith normal forms alone.
+constant function 1) is tracked through the degree-0 tensor product.  The
+test suite checks every degree, and the unit up to automorphism, against the
+homology of the tensor product of the factors' chain complexes, computed
+from Smith normal forms alone.
 
 With one factor the closed form is H_0 = BF, H_1 = K_1 and nothing above,
 the homology that ``gi invariants`` prints for each factor.  The result is
@@ -27,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, prod
 
-from .fggroup import (FgElement, FgGroup, _expand, direct_sum, fold_elements,
-                      tensor, tensor_fold, tor)
+from .fggroup import (FgElement, FgGroup, direct_sum, fold_elements, tensor,
+                      tensor_fold, tor)
 from .sft import SftInvariants, SftMatrix, invariants
 
 
@@ -103,7 +104,7 @@ def _degree_groups(invs: list[SftInvariants], h0: FgGroup) -> dict[int, FgGroup]
     for k in range(n + 1):
         a, b = comb(n - 1, k), comb(n - 1, k - 1) if k else 0
         out[k] = FgGroup(a * h0.free_rank + b * h1_rank,
-                         _expand((d, a) for d in h0.torsion))
+                         tuple(d for d in h0.torsion for _ in range(a)))
     return out
 
 
