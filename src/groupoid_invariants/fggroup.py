@@ -38,12 +38,15 @@ element coordinates are meaningful only up to an automorphism.
 
 Cokernels of general matrices (``cokernel``) and kernels (``kernel_group``)
 use the Smith normal form: ``intmatrix``'s one diagonal elimination, run over
-Z with both transforms.  ``cokernel_and_kernel`` takes a square
+Z with both transforms.  ``cokernel_reduction`` takes a square
 presentation m and computes D = det m = det m^t by one Bareiss
-elimination of m^t, kept as a fraction-free LU.  Every path ends in one
+elimination kept as a fraction-free LU: of m itself below
+``_CYCLIC_MIN_SIZE`` rows, where only D is read, and of m^t from there on,
+where its solves give adjugate columns.  Every path ends in one
 ``intmatrix.ModularSnf``, the factors other than 1 with the rows of the
-left transform that belong to them, and ``_projection`` reads the group and
-its projection off it.
+left transform that belong to them.  ``cokernel_and_kernel`` reads the
+group and its projection off it with ``_projection``; ``sft`` reads the
+group and the one class it needs off the rows directly.
 When D != 0 and m has at least ``_CYCLIC_MIN_SIZE`` rows, a few adjugate
 columns from that LU give a row w with w m = 0 mod N, N = |D|.  If
 gcd(w, N) = 1, x -> w x mod N is an isomorphism coker m -> Z/N and no
@@ -446,23 +449,36 @@ def kernel_group(m: IntMatrix) -> tuple[FgGroup, tuple[tuple[int, ...], ...]]:
 
 
 def cokernel_and_kernel(m: IntMatrix) -> tuple[FgGroup, QuotientMap, int]:
-    """coker m with its projection, and D = det m, for a square m.
-
-    D comes from one fraction-free LU (``IntMatrix.fraction_free_lu``) of
-    m^t, for every size.  For D != 0 and at least ``_CYCLIC_MIN_SIZE``
-    rows, coker m comes from adjugate columns
-    (``_top_factor_first``); otherwise from the elimination modulo |D|, over
-    Z when D = 0 (``smith_form_mod_det``).  Every answer for D != 0 is
-    certified (``_certify``) before it is read.  ker m is free of the free
-    rank of coker m, so it needs no slot here.
+    """coker m with its projection, and D = det m, for a square m: the
+    certified reduction of ``cokernel_reduction`` read by ``_projection``.
+    ker m is free of the free rank of coker m, so it needs no slot here.
     """
-    # det m^t = det m
-    lu = m.transpose().fraction_free_lu()
-    big = m.rows >= _CYCLIC_MIN_SIZE
-    red = _top_factor_first(m, lu) if big and lu.det else smith_form_mod_det(m, lu.det)
-    if lu.det:
-        _certify(m, red, abs(lu.det))
-    return (*_projection(red.factors, red.u), lu.det)
+    red, det = cokernel_reduction(m)
+    return (*_projection(red.factors, red.u), det)
+
+
+def cokernel_reduction(m: IntMatrix) -> tuple[ModularSnf, int]:
+    """The reduction of a square m that presents coker m, and D = det m.
+
+    D comes from one fraction-free LU (``IntMatrix.fraction_free_lu``): of m
+    below ``_CYCLIC_MIN_SIZE`` rows, where only D is read, and of m^t from
+    there on, whose ``solve`` gives the adjugate columns of
+    ``_top_factor_first`` when D != 0.  Otherwise coker m comes from the
+    elimination modulo |D|, over Z when D = 0 (``smith_form_mod_det``).
+    Every answer for D != 0 is certified (``_certify``) before it is
+    returned.  Row r of the reduction, read modulo factors[r] (free when
+    that is 0), is coordinate r of the class of x: x -> (u x)_r.
+    """
+    if m.rows < _CYCLIC_MIN_SIZE:
+        det = m.fraction_free_lu().det  # det m = det m^t
+        red = smith_form_mod_det(m, det)
+    else:
+        lu = m.transpose().fraction_free_lu()
+        det = lu.det
+        red = _top_factor_first(m, lu) if det else smith_form_mod_det(m, 0)
+    if det:
+        _certify(m, red, abs(det))
+    return red, det
 
 
 # right-hand sides tried before the cokernel is split

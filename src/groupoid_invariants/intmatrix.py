@@ -23,7 +23,7 @@ entry below |D| (the modular-determinant method of Domich-Kannan-Trotter,
 Math. Oper. Res. 1987, and Hafner-McCurley, SIAM J. Comput. 1991).  Over Z
 the transform entries of a dense n x n matrix grow to thousands of bits;
 modulo N they stay at the size of N.  N = 0 eliminates over Z.
-``fggroup.cokernel_and_kernel`` runs it modulo |D| for singular and small
+``fggroup.cokernel_reduction`` runs it modulo |D| for singular and small
 matrices, and modulo a divisor N_g of |D| for the part of a large
 cokernel that adjugate columns from ``solve`` do not read: the primes of
 |D| shared by the factors below the largest.
@@ -155,8 +155,8 @@ class IntMatrix:
         """
         if not self.is_square:
             raise ValueError("fraction-free LU of a non-square matrix")
-        n = self.rows
-        a = self.to_rows()
+        n, e = self.rows, self.entries
+        a = [list(e[i * n:i * n + n]) for i in range(n)]
         perm = list(range(n))
         sign = prev = 1
         for k in range(n):
@@ -298,8 +298,10 @@ def smith_form_mod_det(m: IntMatrix, det: int) -> ModularSnf:
         raise ValueError("need a square matrix")
     n = m.rows
     diag, log, _ = _eliminate(m, abs(det))
-    first = next((r for r, d in enumerate(diag) if d != 1), n)
-    u = [x for r in range(first, n) for x in _transform_row(log, r, diag[r], n)]
+    first = diag.count(1)  # the ones lead the divisibility chain
+    u: list[int] = []
+    for r in range(first, n):
+        u += _transform_row(log, r, diag[r], n)
     return ModularSnf(tuple(diag[first:]), IntMatrix(n - first, n, tuple(u)))
 
 
@@ -325,15 +327,21 @@ def _eliminate(m: IntMatrix, mod: int) -> tuple[list[int], list, list]:
     remaining block, or an offending row is added to the pivot row and
     cleared again.  A remaining block that is 0 modulo N gives diagonal
     entries N, so zeros trail over Z.
+
+    The row and column operations are written out as plain loops, with no
+    inner functions: on the 2-7-row presentations of single factors the
+    calls, not the arithmetic, were most of the cost.
     """
     rows, cols = m.rows, m.cols
     half = mod // 2
-    a = [[x % mod for x in m.row(i)] for i in range(rows)] if mod else m.to_rows()
+    e = [x % mod for x in m.entries] if mod else m.entries
+    a = [list(e[i * cols:i * cols + cols]) for i in range(rows)]
     row_log: list[tuple[int, int, int | None]] = []
     col_log: list[tuple[int, int, int | None]] = []
     diag: list[int] = []
-
-    def pick(t):
+    t, n = 0, min(rows, cols)
+    while t < n:
+        # the pivot: the first unit, else the least nonzero symmetric residue
         best, best_v = None, mod or inf
         for i in range(t, rows):
             ai = a[i]
@@ -341,51 +349,14 @@ def _eliminate(m: IntMatrix, mod: int) -> tuple[list[int], list, list]:
                 x = ai[j]
                 if x:
                     if gcd(x, mod) == 1:
-                        return i, j
+                        best = i, j
+                        break
                     v = abs(x - mod if x > half else x)
                     if v < best_v:
                         best, best_v = (i, j), v
-        return best
-
-    def add_row(src, dst, q, t):
-        # row dst += q * row src; columns < t of both rows are 0
-        rs, rd = a[src], a[dst]
-        if mod:
-            rd[t:] = [(y + q * z) % mod for y, z in zip(rd[t:], rs[t:])]
-        else:
-            rd[t:] = [y + q * z for y, z in zip(rd[t:], rs[t:])]
-        row_log.append((src, dst, q))
-
-    def scale_row(t, c):
-        a[t] = [x * c % mod for x in a[t]] if mod else [x * c for x in a[t]]
-        row_log.append((t, t, c - 1))
-
-    def clear(t, p, g, pinv):
-        # clear column t below and row t beyond the pivot p = a[t][t] as far
-        # as exact multiples allow; True if a Euclidean remainder is left
-        dirty = False
-        ng = mod // g
-        for i in range(t + 1, rows):
-            x = a[i][t]
-            if x:
-                q = (x // g) * pinv % ng if mod and x % g == 0 else x // p
-                add_row(t, i, -q, t)
-                dirty = dirty or a[i][t] != 0
-        rt = a[t]
-        touched = [r for r in a[t:] if r[t]]  # column operations change only these rows
-        for j in range(t + 1, cols):
-            x = rt[j]
-            if x:
-                q = (x // g) * pinv % ng if mod and x % g == 0 else x // p
-                for r in touched:
-                    r[j] = (r[j] - q * r[t]) % mod if mod else r[j] - q * r[t]
-                col_log.append((t, j, -q))
-                dirty = dirty or rt[j] != 0
-        return dirty
-
-    t, n = 0, min(rows, cols)
-    while t < n:
-        best = pick(t)
+            else:
+                continue
+            break
         if best is None:
             diag.extend([mod] * (n - t))  # the remaining block is 0 modulo N
             break
@@ -397,28 +368,67 @@ def _eliminate(m: IntMatrix, mod: int) -> tuple[list[int], list, list]:
             for r in a[t:]:
                 r[t], r[bj] = r[bj], r[t]
             col_log.append((t, bj, None))
-        p = a[t][t]
+        # rows from t on are 0 before column t, so row operations start there
+        rt = a[t]
+        p = rt[t]
         g = gcd(p, mod)
         if g == 1 and mod:  # over Z, +-1 is cleared below like any pivot, row too
             if p != 1:
-                scale_row(t, _inverse_mod(p, mod))
+                c = _inverse_mod(p, mod)
+                for j in range(t, cols):
+                    rt[j] = rt[j] * c % mod
+                row_log.append((t, t, c - 1))
             for i in range(t + 1, rows):
-                x = a[i][t]
-                if x:
-                    add_row(t, i, -x, t)
+                ri = a[i]
+                x = ri[t]
+                if x:  # row i -= x row t
+                    for j in range(t + 1, cols):
+                        ri[j] = (ri[j] - x * rt[j]) % mod
+                    ri[t] = 0
+                    row_log.append((t, i, -x))
             diag.append(1)
             t += 1
             continue
         if (p - mod if p > half else p) < 0:  # negative in symmetric residues
-            scale_row(t, -1)
-            p = a[t][t]
-        pinv = _inverse_mod(p // g, mod // g) if mod else None  # unused over Z
-        while not (dirty := clear(t, p, g, pinv)):
-            offender = next((i for i in range(t + 1, rows)
-                             if any(x % g for x in a[i][t + 1:])), None)
-            if offender is None:
+            for j in range(t, cols):
+                rt[j] = -rt[j] % mod if mod else -rt[j]
+            row_log.append((t, t, -2))
+            p = rt[t]
+        ng = mod // g
+        pinv = _inverse_mod(p // g, ng) if mod else None  # unused over Z
+        while True:
+            # clear column t below and row t beyond the pivot as far as exact
+            # multiples allow; dirty if a Euclidean remainder is left
+            dirty = False
+            for i in range(t + 1, rows):
+                ri = a[i]
+                x = ri[t]
+                if x:  # row i -= q row t
+                    q = (x // g) * pinv % ng if mod and x % g == 0 else x // p
+                    for j in range(t, cols):
+                        ri[j] = (ri[j] - q * rt[j]) % mod if mod else ri[j] - q * rt[j]
+                    row_log.append((t, i, -q))
+                    dirty = dirty or ri[t] != 0
+            touched = [r for r in a[t:] if r[t]]  # column operations change only these rows
+            for j in range(t + 1, cols):
+                x = rt[j]
+                if x:  # column j -= q column t
+                    q = (x // g) * pinv % ng if mod and x % g == 0 else x // p
+                    for r in touched:
+                        r[j] = (r[j] - q * r[t]) % mod if mod else r[j] - q * r[t]
+                    col_log.append((t, j, -q))
+                    dirty = dirty or rt[j] != 0
+            if dirty:
                 break
-            add_row(offender, t, 1, t)  # its row entries leave remainders mod p
+            for i in range(t + 1, rows):
+                if any(x % g for x in a[i][t + 1:]):
+                    break
+            else:
+                break
+            ri = a[i]  # its entries leave remainders mod p: row t += row i
+            for j in range(t, cols):
+                rt[j] = (rt[j] + ri[j]) % mod if mod else rt[j] + ri[j]
+            row_log.append((i, t, 1))
         if dirty:
             continue  # a remainder below p is the next pivot
         diag.append(g)

@@ -14,12 +14,14 @@ has a kernel of the rank of its cokernel's free part; and the full-group
 abelianization (H_0 (x) Z/2) (+) H_1, which ``abelianize`` computes as
 the one-factor case of its product formula.
 
-``invariants`` gets the record from ``fggroup.cokernel_and_kernel`` of the
-presentation id - A^t, which computes D = det(id - A^t) once, by one
-Bareiss elimination kept as a fraction-free LU.  For D != 0, H_1 = 0 and
-H_0 has order N = |D|, and:
+``invariants`` builds the presentation id - A^t in one pass over the
+entries of A and gets its reduction from ``fggroup.cokernel_reduction``,
+which computes D = det(id - A^t) once, by one Bareiss elimination kept as
+a fraction-free LU: of id - A^t itself below 8 rows, where only D is read,
+and of id - A, the transpose, from 8 rows on.  For D != 0, H_1 = 0 and H_0
+has order N = |D|, and:
 
-  * when n >= 8, an LU of id - A, the transpose, solves (id - A) y = D c
+  * when n >= 8, the LU of id - A solves (id - A) y = D c
     for a few seeded c, each in O(n^2), giving y = adj(id - A) c exactly,
     and the y combine into a row w with w (id - A^t) = 0 mod N.  When
     gcd(w, N) = 1, x -> w x mod N is an isomorphism H_0 -> Z/N, and the
@@ -35,6 +37,10 @@ class.  For D != 0 every answer is certified in ``fggroup._certify``
 before the unit class is read: the rows annihilate id - A^t, they map
 onto the factors, and the factors multiply to N, so the map is an
 isomorphism H_0 -> BF and the unit class is the image of (1, ..., 1).
+That image is read off the reduction's rows: coordinate r is the sum of
+row r, reduced modulo its factor (a free row's sum is left as it is).
+This is exactly what the projection of ``fggroup.cokernel_and_kernel``
+gives (1, ..., 1), with no ``QuotientMap`` built.
 The coordinates of the unit class depend on which isomorphism onto
 the canonical form a path found, so they are meaningful only up to an
 automorphism of H_0: compare unit classes with
@@ -46,9 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mod
 
 from . import errors
-from .fggroup import FgElement, FgGroup, cokernel_and_kernel
+from .fggroup import FgElement, FgGroup, cokernel_reduction
 from .intmatrix import IntMatrix
 
 
@@ -157,9 +164,19 @@ def invariants(a: SftMatrix) -> SftInvariants:
 
 
 def _compute_invariants(m: IntMatrix) -> SftInvariants:
-    n = m.rows
-    bf, qmap, det = cokernel_and_kernel(IntMatrix.identity(n) - m.transpose())
-    return SftInvariants(bf, qmap((1,) * n), det)
+    n, e = m.rows, m.entries
+    # id - A^t from the entries of A: row i is e_i minus column i of A
+    pres = [-x for i in range(n) for x in e[i::n]]
+    pres[::n + 1] = [x + 1 for x in pres[::n + 1]]
+    red, det = cokernel_reduction(IntMatrix(n, n, tuple(pres)))
+    # the unit class: row r of the reduction applied to (1, ..., 1), read
+    # modulo factors[r]; the zero factors, the free rows, trail
+    factors, u = red.factors, red.u.entries
+    k = len(factors) - factors.count(0)
+    sums = [sum(u[r * n:r * n + n]) for r in range(len(factors))]
+    bf = FgGroup(len(factors) - k, factors[:k])
+    unit = FgElement(bf, tuple(sums[k:]), tuple(map(mod, sums, factors[:k])))
+    return SftInvariants(bf, unit, det)
 
 
 def is_primitive(a: SftMatrix) -> bool:

@@ -45,6 +45,7 @@ from math import gcd, prod
 from operator import add, index, itemgetter, sub
 from typing import NamedTuple
 
+from .automorphisms import DEFAULT_CANDIDATE_BOUND
 from .errors import BoundExceeded, IncompatibleParameters, ParseError
 from .intmatrix import IntMatrix, smith_normal_form
 
@@ -590,7 +591,9 @@ def character_search(k, target_order: int) -> list[CharacterAssignment]:
     form, u and v are invertible over Z and so modulo m, hence R y = 0 iff
     S z = 0 for z = v^-1 y, that is iff each z_i is a multiple of
     m / gcd(s_i, m) (s_i = 0 past the rank).  So the solutions are y = v z mod m
-    over those z, each exactly once.
+    over those z, each exactly once.  There are prod gcd(s_i, m) of them,
+    counted before any is listed: past ``DEFAULT_CANDIDATE_BOUND`` the search
+    raises ``BoundExceeded`` naming that count.
     """
     if target_order < 2:
         raise ParseError("target_order must be >= 2")
@@ -605,6 +608,9 @@ def character_search(k, target_order: int) -> list[CharacterAssignment]:
         rows.append(row)
     # n^2 + 1 >= n + 1 rows, so the diagonal has an entry per unknown
     snf = smith_normal_form(IntMatrix.from_rows(rows))
+    if (count := prod(gcd(s, m) for s in snf.diagonal())) > DEFAULT_CANDIDATE_BOUND:
+        raise BoundExceeded(f"character search lists {count} characters, over the bound "
+                            f"{DEFAULT_CANDIDATE_BOUND}")
     sols = (tuple(c % m for c in snf.v.apply(z))
             for z in iproduct(*(range(0, m, m // gcd(s, m)) for s in snf.diagonal())))
     return [CharacterAssignment(m, y[:n], y[n])

@@ -6,6 +6,10 @@
   matrix D (D[i][(i, p)] = 1) and the edge matrix E (E[(i, p)][j] = the
   edges i -> j in part p), A = D E and the split graph is A' = E D.  It is
   a one-sided conjugacy, so G_A and G_A' are isomorphic.
+* In-splitting: the transpose of an out-splitting of A^t.  It is a flow
+  equivalence (Parry-Sullivan, "A topological invariant of flows on
+  1-dimensional spaces", Topology 1975), so G_A and G_A' are Morita
+  equivalent; the unit class may move, so they need not be isomorphic.
 * The Cuntz splice (Franks, "Flow equivalence of subshifts of finite type",
   ETDS 1984).  Two new vertices w1, w2, each with a loop, joined to each
   other and w1 to a vertex v both ways.  It keeps the Bowen-Franks group
@@ -44,6 +48,17 @@ def out_split(rows: list[list[int]], rng: random.Random,
 def split_matrix(d: list[list[int]], e: list[list[int]]) -> list[list[int]]:
     """A' = E D, the out-split graph."""
     return mat_mul(e, d)
+
+
+def in_split(rows: list[list[int]], rng: random.Random, max_parts: int = 2) -> list[list[int]]:
+    """A random in-splitting of rows: the transpose of an out-split graph of
+    the transpose."""
+    d, e = out_split(transpose(rows), rng, max_parts)
+    return transpose(split_matrix(d, e))
+
+
+def transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
 
 
 def mat_mul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:

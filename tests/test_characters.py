@@ -20,7 +20,9 @@ from math import gcd, prod
 
 import pytest
 
+from groupoid_invariants import tables
 from groupoid_invariants.abelianize import tfg_abelianization
+from groupoid_invariants.errors import BoundExceeded
 from groupoid_invariants.sft import validate
 from groupoid_invariants.tables import character_search
 from table_oracle import alpha_word, oracle_characters
@@ -174,3 +176,16 @@ def test_five_coordinates_past_the_exhaustive_wall():
                                   for order in ab.orders()) == 320
     assert len({(a.x, a.t) for a in found}) == 320
     assert found == sorted(found, key=lambda a: (a.t, a.x))
+
+
+def test_character_search_counts_its_characters_before_listing(monkeypatch):
+    # arities (2, 2) leave x_1 = x_2 free: Z/m has m characters, prod
+    # gcd(s_i, m) over the Smith diagonal, and the bound is checked on that
+    # count before any character is built
+    monkeypatch.setattr(tables, "DEFAULT_CANDIDATE_BOUND", 12)
+    assert len(character_search((2, 2), 12)) == 12
+    with pytest.raises(BoundExceeded, match="13 characters"):
+        character_search((2, 2), 13)
+    monkeypatch.undo()
+    with pytest.raises(BoundExceeded, match="100000000 characters"):
+        character_search((2, 2), 10 ** 8)

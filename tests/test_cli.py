@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import WALL_MATRIX, WALL_PERMS, relabel
-from groupoid_invariants import cli, errors
+from groupoid_invariants import cli, errors, tables
 from groupoid_invariants.cli import main
 from groupoid_invariants.intmatrix import _inverse_mod
 from groupoid_invariants.sft import invariants, validate
@@ -170,7 +170,7 @@ def test_relations_check(capsys):
     assert code == 2
 
 
-def test_character_search(capsys):
+def test_character_search(capsys, monkeypatch):
     code, out, _ = run(capsys, "--format", "json", "character-search",
                        "--arities", "3,3", "--target-order", "4")
     assert code == 0
@@ -180,6 +180,12 @@ def test_character_search(capsys):
                        "--target-order", "5")
     # the zero character is always listed, so a search never exits 1
     assert code == 0 and "x = (0, 0), t = 0" in out
+    # arities (2, 2) have m characters modulo m: past the bound, exit 3
+    # naming the count, before any character is listed
+    monkeypatch.setattr(tables, "DEFAULT_CANDIDATE_BOUND", 1000)
+    code, _, err = run(capsys, "character-search", "--arities", "2,2",
+                       "--target-order", "1001")
+    assert code == 3 and "1001 characters" in err
 
 
 def test_baker_check(capsys):

@@ -1,16 +1,27 @@
 """Verdicts against moves whose effect on the groupoid is known
 (``move_oracle``): out-splits are isomorphisms, of single factors and factor
-by factor of products, and Cuntz splices are not even Morita equivalences."""
+by factor of products, in-splits are Morita equivalences, and Cuntz splices
+are not even Morita equivalences.
+
+Isomorphic groupoids have isomorphic homology, K-groups and topological full
+groups, and homology is a Morita invariant (Crainic-Moerdijk 2000; Matui
+2012), so every isomorphic or Morita pair here must also agree in every
+degree of ``product_homology``, in ``product_k_theory``, in
+``tfg_abelianization`` and in ``strong_ah``.  These modules all read the same
+``invariants``, so the checks tie the modules together; they are not a second
+route to the Bowen-Franks group."""
 
 import itertools
 import random
 
 from conftest import random_sft
 from groupoid_invariants import classify, fggroup
+from groupoid_invariants.abelianize import strong_ah, tfg_abelianization
 from groupoid_invariants.automorphisms import torsion_orbit
 from groupoid_invariants.classify import product_isomorphic, sft_isomorphic, sft_morita
+from groupoid_invariants.homology import product_homology, product_k_theory
 from groupoid_invariants.sft import invariants, validate
-from move_oracle import cuntz_splice, mat_mul, out_split, split_matrix
+from move_oracle import cuntz_splice, in_split, mat_mul, out_split, split_matrix
 
 
 def _small(rng):
@@ -37,6 +48,17 @@ def _split(rows, rng):
     return split_matrix(d, e)
 
 
+def _assert_same_module_answers(fa, fb):
+    """Equal homology in each degree, K-groups, full-group abelianization and
+    strong-AH verdict for two products of factors (SftMatrix lists)."""
+    ha, hb = product_homology(fa), product_homology(fb)
+    for k in range(max(ha.max_degree, hb.max_degree) + 1):
+        assert ha.group_at(k) == hb.group_at(k), (k, ha, hb)
+    assert product_k_theory(fa) == product_k_theory(fb)
+    assert tfg_abelianization(fa) == tfg_abelianization(fb)
+    assert strong_ah(fa) == strong_ah(fb)
+
+
 def _assert_isomorphic_with_witness(rows_a, rows_b):
     a, b = validate(rows_a), validate(rows_b)
     v = sft_isomorphic(a, b)
@@ -44,6 +66,7 @@ def _assert_isomorphic_with_witness(rows_a, rows_b):
     hom = v.witness.homs[0]
     ia, ib = invariants(a), invariants(b)
     assert hom(ia.unit) == ib.unit and hom.is_isomorphism()
+    _assert_same_module_answers([a], [b])
     return ia
 
 
@@ -85,6 +108,20 @@ def test_out_splits_grown_past_eight_rows_are_isomorphic_and_certified(monkeypat
     assert non_cyclic  # so the split of _top_factor_first is checked too
 
 
+def test_in_splits_are_morita_equivalent():
+    rng = random.Random(1975)
+    isomorphic = 0
+    for _ in range(500):
+        rows = _small(rng)
+        split = in_split(rows, rng)
+        a, b = validate(rows), validate(split)
+        assert len(split) >= len(rows) and sft_morita(a, b), (rows, split)
+        _assert_same_module_answers([a], [b])
+        isomorphic += sft_isomorphic(a, b).isomorphic
+    # the unit class moves under an in-split, so some pairs are not isomorphic
+    assert 0 < isomorphic < 500
+
+
 def test_cuntz_splice_keeps_bf_negates_det_and_breaks_morita():
     rng = random.Random(1984)
     done = 0
@@ -114,8 +151,10 @@ def test_out_split_products_are_isomorphic(monkeypatch):
         split = [_split(r, rng) for r in rows]
         rng.shuffle(split)
         before = len(searches)
-        v = product_isomorphic([validate(r) for r in rows], [validate(r) for r in split])
+        fa, fb = [validate(r) for r in rows], [validate(r) for r in split]
+        v = product_isomorphic(fa, fb)
         assert v.isomorphic, (rows, split, v.reason)
+        _assert_same_module_answers(fa, fb)
         if len(searches) > before and not all(h.is_identity() for h in v.witness.homs):
             searched += 1
             _assert_least_reaching_tuple(rows, split, v.witness)

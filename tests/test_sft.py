@@ -15,11 +15,13 @@ from groupoid_invariants import errors, fggroup, sft
 from groupoid_invariants.abelianize import tfg_abelianization
 from groupoid_invariants.automorphisms import aut_orbit_equivalent
 from groupoid_invariants.classify import product_isomorphic
-from groupoid_invariants.fggroup import FgGroup, cokernel, direct_sum, tensor
+from groupoid_invariants.fggroup import (FgGroup, cokernel, cokernel_and_kernel, direct_sum,
+                                         tensor)
 from groupoid_invariants.homology import hk_check, product_homology
 from groupoid_invariants.intmatrix import IntMatrix, ModularSnf
 from groupoid_invariants.sft import (_irreducible, companion_matrix, invariants,
                                      is_primitive, validate)
+from move_oracle import out_split, split_matrix
 from sft_oracle import irreducible_oracle, primitive_oracle
 
 
@@ -293,6 +295,84 @@ def test_product_isomorphic_computes_each_determinant_once(monkeypatch):
     assert len(calls) == 4  # one per factor object
     assert [invariants(f).det for f in fa + fb] == [-2, -2, -2, -2]
     assert len(calls) == 4
+
+
+def _presentation(a):
+    return IntMatrix.identity(a.size) - a.a.transpose()
+
+
+def test_a_small_factor_takes_one_lean_reduction(monkeypatch):
+    # below _CYCLIC_MIN_SIZE rows only det is read off the LU, so it is the LU
+    # of id - A^t itself; the unit class comes off the reduction's rows, with
+    # no projection built; 8 rows or more still take the adjugate columns
+    calls = {name: [] for name in ("lu", "smith_form_mod_det", "_certify", "_projection",
+                                   "_top_factor_first")}
+    lu = IntMatrix.fraction_free_lu
+    monkeypatch.setattr(IntMatrix, "fraction_free_lu",
+                        lambda m: calls["lu"].append(m) or lu(m))
+    for name in list(calls)[1:]:
+        original = getattr(fggroup, name)
+        monkeypatch.setattr(fggroup, name, lambda *args, name=name, original=original:
+                            calls[name].append(args[0]) or original(*args))
+    rng = random.Random(1987)
+    kinds = set()
+    for n in (*range(2, 8), *range(2, 8), 8, 9):
+        while True:
+            try:
+                a = validate([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)])
+                break
+            except errors.SftValidationError:
+                continue
+        for record in calls.values():
+            record.clear()
+        inv = invariants(a)
+        pres = _presentation(a)
+        if n >= fggroup._CYCLIC_MIN_SIZE:
+            assert calls["lu"] == [pres.transpose()] and len(calls["_top_factor_first"]) == 1
+            continue
+        assert calls["lu"] == [pres] and calls["smith_form_mod_det"] == [pres]
+        assert calls["_certify"] == ([pres] if inv.det else [])
+        assert calls["_projection"] == calls["_top_factor_first"] == []
+        kinds.add((inv.det == 0, len(inv.bf.torsion) > 1))
+    # and a singular one: [[2, 1], [1, 2]] has det 0 and BF = Z
+    for record in calls.values():
+        record.clear()
+    inv = invariants(validate([[2, 1], [1, 2]]))
+    assert inv.det == 0 and len(calls["lu"]) == len(calls["smith_form_mod_det"]) == 1
+    assert calls["_certify"] == calls["_projection"] == []
+    assert {(False, False), (False, True)} <= kinds
+
+
+def test_invariants_match_the_projection_of_cokernel_and_kernel():
+    """BF, det and unit of 2000 seeded SFTs of 1-10 vertices against
+    ``cokernel_and_kernel`` of id - A^t, unit = qmap((1, ..., 1)),
+    coordinates included: singular, non-cyclic and >= 8-row presentations,
+    and out-splits of [[2, 1], [1, 2]] grown to 8 rows or more, which are
+    singular."""
+    rng = random.Random(1512)
+    corpus = []
+    while len(corpus) < 1950:
+        n = rng.randint(1, 10)
+        try:
+            corpus.append(validate([[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]))
+        except errors.SftValidationError:
+            continue
+    while len(corpus) < 2000:
+        rows = [[2, 1], [1, 2]]
+        while len(rows) < 8:
+            d, e = out_split(rows, rng)
+            rows = split_matrix(d, e)
+        corpus.append(validate(rows))
+    seen = set()
+    for a in corpus:
+        inv = invariants(a)
+        bf, qmap, det = cokernel_and_kernel(_presentation(a))
+        assert (inv.bf, inv.det) == (bf, det)
+        unit = qmap((1,) * a.size)
+        assert inv.unit == unit  # the same group and the same coordinates
+        seen.add((a.size >= fggroup._CYCLIC_MIN_SIZE, det == 0, len(bf.torsion) > 1))
+    assert {(big, singular, False) for big in (False, True) for singular in (False, True)} \
+        | {(False, False, True), (True, False, True)} <= seen
 
 
 def test_square_factor_bowen_franks_groups():
